@@ -160,22 +160,7 @@ impl ProgramArtifacts {
             .ok_or_else(|| FlowError::Backend("no feasible program configuration".into()))?;
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        // Timing-only runs skip the input tensors entirely (same
-        // arrival stream either way, per seed).
-        let mut requests = if opts.execute {
-            runtime::generate_requests(&modules, opts.requests, &opts.arrival, opts.seed)
-        } else {
-            runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        }
-        .map_err(|e| FlowError::Backend(e.to_string()))?;
-        // Priority serving: requests cycle through the configured tier
-        // count in id order (tier 0 is the most urgent), the same
-        // deterministic assignment the differential tests replay.
-        if opts.online.priority_tiers > 1 {
-            for r in &mut requests {
-                r.tier = (r.id % opts.online.priority_tiers as usize) as u8;
-            }
-        }
+        let requests = generate_requests(&modules, opts)?;
         runtime::serve(system, &self.names, &modules, &kernels, &requests, opts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
@@ -195,13 +180,7 @@ impl ProgramArtifacts {
     ) -> Result<runtime::FleetOutcome, FlowError> {
         let modules: Vec<&Module> = self.kernels.iter().map(|a| &*a.module).collect();
         let kernels: Vec<&cgen::CKernel> = self.kernels.iter().map(|a| &a.kernel).collect();
-        let opts = &fopts.base;
-        let requests = if opts.execute {
-            runtime::generate_requests(&modules, opts.requests, &opts.arrival, opts.seed)
-        } else {
-            runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        }
-        .map_err(|e| FlowError::Backend(e.to_string()))?;
+        let requests = generate_requests(&modules, &fopts.base)?;
         runtime::serve_fleet(boards, &self.names, &modules, &kernels, &requests, fopts)
             .map_err(|e| FlowError::Backend(e.to_string()))
     }
@@ -224,6 +203,30 @@ impl ProgramArtifacts {
         };
         Ok(self.serve(&seq)?.report)
     }
+}
+
+/// The request stream `serve` and `serve_fleet` schedule: `opts.requests`
+/// arrivals drawn per `opts.seed`, with input tensors only when
+/// `opts.execute` (timing-only runs skip them; the arrival stream is the
+/// same either way). Under priority serving, requests cycle through the
+/// configured tier count in id order (tier 0 is the most urgent), the
+/// same deterministic assignment the differential tests replay.
+fn generate_requests(
+    modules: &[&Module],
+    opts: &runtime::RuntimeOptions,
+) -> Result<Vec<runtime::Request>, FlowError> {
+    let mut requests = if opts.execute {
+        runtime::generate_requests(modules, opts.requests, &opts.arrival, opts.seed)
+    } else {
+        runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
+    }
+    .map_err(|e| FlowError::Backend(e.to_string()))?;
+    if opts.online.priority_tiers > 1 {
+        for r in &mut requests {
+            r.tier = (r.id % opts.online.priority_tiers as usize) as u8;
+        }
+    }
+    Ok(requests)
 }
 
 /// The shared program-level products derived from per-kernel backends:
@@ -615,6 +618,38 @@ mod tests {
         assert_eq!(r.stage_exec_s.len(), 3);
         assert!(r.total_s > 0.0);
         assert!(art.verify(1, 3).unwrap().bitexact);
+    }
+
+    #[test]
+    fn one_board_fleet_assigns_priority_tiers_like_serve() {
+        let art =
+            ProgramFlow::compile(&cfdlang::examples::axpy(3), &ProgramOptions::default()).unwrap();
+        let tiered = runtime::RuntimeOptions {
+            requests: 12,
+            batch: runtime::BatchPolicy::Fixed(2),
+            online: runtime::OnlinePolicy {
+                priority_tiers: 2,
+                ..runtime::OnlinePolicy::default()
+            },
+            ..runtime::RuntimeOptions::default()
+        };
+        let solo = art.serve(&tiered).unwrap().report;
+        let board = runtime::FleetBoard::healthy(art.system.clone().unwrap());
+        let fopts = runtime::FleetOptions {
+            base: tiered.clone(),
+            ..runtime::FleetOptions::default()
+        };
+        let fleet = art.serve_fleet(&[board], &fopts).unwrap().report;
+        assert_eq!(fleet.boards[0].report.as_ref(), Some(&solo));
+        // The tiers reorder the closed backlog, so the check has teeth.
+        let fifo = art
+            .serve(&runtime::RuntimeOptions {
+                online: runtime::OnlinePolicy::default(),
+                ..tiered
+            })
+            .unwrap()
+            .report;
+        assert_ne!(fifo.traces, solo.traces);
     }
 
     #[test]

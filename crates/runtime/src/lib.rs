@@ -18,11 +18,12 @@
 //!    frees, never wait for stragglers), `Fixed(K)` caps the fill at
 //!    `K`, `Disabled` serves one request per round — the sequential
 //!    reference the differential tests compare against.
-//! 3. **Time multiplexing** — [`zynq::simulate_batch_stream`] schedules
-//!    the rounds on the design in closed tick arithmetic, with
-//!    double-buffered DMA overlapping the transfers of neighbouring
-//!    rounds when `overlap_dma` is set (and every stage keeps a spare
-//!    PLM set).
+//! 3. **Time multiplexing** — [`zynq::simulate_online_stream`], the one
+//!    round loop, schedules the rounds on the design in closed tick
+//!    arithmetic, with double-buffered DMA overlapping the transfers of
+//!    neighbouring rounds when `overlap_dma` is set (and every stage
+//!    keeps a spare PLM set), and with the [`OnlinePolicy`] deciding
+//!    admission and batch formation.
 //! 4. **Fault tolerance** — an armed [`zynq::FaultPlan`] injects
 //!    deterministic faults (DMA stalls, transient round errors, payload
 //!    corruption, hard board failure) into the schedule, and the
@@ -30,9 +31,9 @@
 //!    with capped exponential backoff in tick space, per-request
 //!    deadlines that shed late work, round-level requeue after a failed
 //!    round, and drain/pause/resume degradation across a board outage.
-//!    Every request ends in a structured [`RequestOutcome`]. The empty
-//!    plan is tick- and bit-identical to the fault-free scheduler
-//!    (`tests/fault_injection.rs` proves it).
+//!    Every request ends in a structured [`RequestOutcome`]. Under the
+//!    empty plan every request completes on its first attempt
+//!    (`tests/fault_injection.rs` proves the schedule is the clean one).
 //! 5. **Execution** — each completed request's tensors run through the
 //!    generated kernel chain ([`zynq::run_program_chain`]), so the
 //!    service path returns real outputs, not just timings. Batching and
@@ -263,18 +264,14 @@ impl RecoveryPolicy {
     }
 }
 
-/// Online serving policy: whether `serve` runs the event-loop reactor
-/// ([`zynq::simulate_online_stream`]) and which policies it arms.
-///
-/// The neutral policy on the event loop (`event_loop: true`, nothing
-/// armed) is tick- and bit-identical to the offline fold — the
-/// differential proptests at the workspace root pin the whole
-/// `ServiceReport` JSON byte for byte — so flipping the loop on is
-/// observable only through policy effects, never through numbers.
+/// Online serving policy: which admission and batching policies the
+/// round loop ([`zynq::simulate_online_stream`]) arms. Every run goes
+/// through that one loop; with nothing armed it is FIFO capacity-fill.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlinePolicy {
-    /// Run the DES reactor even with no policy armed (differential
-    /// harness; also what DSE service probes use).
+    /// Request online serving with no policy armed (`cfdc serve
+    /// --online`). Every run is served by the same round loop, so this
+    /// selects no code path: it only sets [`ServiceReport::online`].
     pub event_loop: bool,
     /// p99 latency budget (SLO), seconds: arms adaptive batching (close
     /// a round early when the oldest queued request's budget is at
@@ -301,14 +298,15 @@ impl Default for OnlinePolicy {
 }
 
 impl OnlinePolicy {
-    /// Whether `serve` routes through the event loop at all.
+    /// Whether the run asked for online serving: the `event_loop` flag
+    /// or an armed policy.
     pub fn enabled(&self) -> bool {
         self.event_loop || self.armed()
     }
 
     /// Whether any policy deviates from FIFO capacity-fill. The report
     /// emits its online section only when this holds, so a bare
-    /// `event_loop` run stays byte-identical to the offline scheduler.
+    /// `event_loop` run's JSON is byte-identical to a run without it.
     pub fn armed(&self) -> bool {
         self.slo_s.is_some() || self.shed_queue.is_some() || self.priority_tiers > 1
     }
@@ -378,8 +376,8 @@ pub struct RuntimeOptions {
     /// Retry/timeout policy applied when faults (or deadlines) are
     /// armed.
     pub recovery: RecoveryPolicy,
-    /// Online serving: event-loop routing, SLO batching, priority
-    /// tiers, backpressure shedding.
+    /// Online serving: SLO batching, priority tiers, backpressure
+    /// shedding.
     pub online: OnlinePolicy,
     /// Host-side cost constants (the `elements` field is unused — the
     /// stream works in requests, not elements).
@@ -550,10 +548,11 @@ pub struct ServiceReport {
     pub fault_plan: String,
     /// The recovery policy in force.
     pub recovery: RecoveryPolicy,
-    /// Whether the online event loop served this run.
+    /// Whether the run asked for online serving
+    /// ([`OnlinePolicy::enabled`]).
     pub online: bool,
     /// The online policy in force (reported only when armed — a bare
-    /// event-loop run stays byte-identical to the offline report).
+    /// `event_loop` run's report is byte-identical to a run without it).
     pub online_policy: OnlinePolicy,
     /// Arrivals shed at admission by queue-depth backpressure.
     pub backpressure_shed: usize,
@@ -592,10 +591,10 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// [`zynq::run_program_chain`]); `kernels` may be empty when
 /// `opts.execute` is off.
 ///
-/// With `FaultPlan::none()` and no deadline the schedule is tick- and
-/// bit-identical to the fault-free stream; retries never change
-/// completed outputs (the functional path runs each request's own
-/// tensors, batching and retries share hardware, never data).
+/// With `FaultPlan::none()` and no deadline every request completes on
+/// its first attempt; retries never change completed outputs (the
+/// functional path runs each request's own tensors, batching and
+/// retries share hardware, never data).
 pub fn serve(
     design: &MultiSystemDesign,
     names: &[String],
@@ -618,41 +617,29 @@ pub fn serve(
     let arrivals: Vec<Time> = order.iter().map(|&i| secs(requests[i].arrival_s)).collect();
     let capacity = opts.batch.capacity(design.config.m);
     let overlap = opts.overlap_dma && opts.batch != BatchPolicy::Disabled;
-    let spec = opts.recovery.to_spec();
-    let (fso, backpressure_shed, early_closed_rounds) = if opts.online.enabled() {
-        let tiers = if order.iter().any(|&i| requests[i].tier != 0) {
-            order.iter().map(|&i| requests[i].tier).collect()
-        } else {
-            Vec::new()
-        };
-        let online_spec = zynq::OnlineSpec {
-            slo_ticks: opts.online.slo_s.map(secs),
-            max_queue: opts.online.shed_queue,
-            tiers,
-        };
-        let oo = zynq::simulate_online_stream(
-            design,
-            &opts.sim,
-            &arrivals,
-            capacity,
-            overlap,
-            &opts.faults,
-            &spec,
-            &online_spec,
-        );
-        (oo.fault, oo.backpressure_shed, oo.early_closed_rounds)
+    // Tiers in admission order; one tier (FIFO) unless the policy asks
+    // for more.
+    let tiers = if opts.online.priority_tiers > 1 {
+        order.iter().map(|&i| requests[i].tier).collect()
     } else {
-        let fso = zynq::simulate_faulty_stream(
-            design,
-            &opts.sim,
-            &arrivals,
-            capacity,
-            overlap,
-            &opts.faults,
-            &spec,
-        );
-        (fso, 0, 0)
+        Vec::new()
     };
+    let online_spec = zynq::OnlineSpec {
+        slo_ticks: opts.online.slo_s.map(secs),
+        max_queue: opts.online.shed_queue,
+        tiers,
+    };
+    let oo = zynq::simulate_online_stream(
+        design,
+        &opts.sim,
+        &arrivals,
+        capacity,
+        overlap,
+        &opts.faults,
+        &opts.recovery.to_spec(),
+        &online_spec,
+    );
+    let fso = &oo.fault;
     let stream = &fso.stream;
 
     // Map the stream's arrival-order results back to request ids.
@@ -748,8 +735,8 @@ pub fn serve(
         recovery: opts.recovery,
         online: opts.online.enabled(),
         online_policy: opts.online.clone(),
-        backpressure_shed,
-        early_closed_rounds,
+        backpressure_shed: oo.backpressure_shed,
+        early_closed_rounds: oo.early_closed_rounds,
         traces,
     };
 

@@ -17,20 +17,20 @@
 //!   Figure 10,
 //! * [`dma`] — the host↔PLM transfer model (setup latency + bandwidth,
 //!   from the platform's [`sysgen::DmaSpec`]),
-//! * [`des`] — a small discrete-event engine,
+//! * [`des`] — integer-picosecond simulation time,
 //! * [`sim`] — the system simulation executing the generated host
 //!   program: per main-loop round, transfer inputs for `m` elements,
 //!   broadcast start `m/k` times, collect done interrupts, transfer
 //!   outputs (Figure 7's architecture, including `k < m` batching),
-//! * [`stream`] — the multi-request batch-stream schedule: a queue of
+//! * [`stream`] — the multi-request stream's outcome types: a queue of
 //!   independent invocations coalesced into hardware rounds and
 //!   time-multiplexed over one system with double-buffered DMA (the
 //!   `crates/runtime` service layer drives it),
-//! * [`online`] — the online serving event loop layered on the same
-//!   round arithmetic: admission, batch formation, DMA and completion
-//!   interleave on one virtual clock, with SLO-aware adaptive batching,
-//!   priority tiers, and backpressure shedding; bit-identical to
-//!   [`stream`] under the neutral policy,
+//! * [`online`] — the one round loop that schedules every stream:
+//!   admission, batch formation, DMA and completion interleave on one
+//!   virtual clock, under fault injection and the online policies
+//!   (SLO-aware adaptive batching, priority tiers, backpressure
+//!   shedding),
 //! * [`fault`] — deterministic fault injection for that stream: a
 //!   seeded [`FaultPlan`] perturbs the schedule with DMA stalls,
 //!   transient round errors, payload corruption and hard board
@@ -60,9 +60,7 @@ pub use sim::{
     program_round, simulate_hw, simulate_program, HwResult, ProgramHwResult, ProgramRound,
     SimConfig,
 };
-pub use stream::{
-    simulate_batch_stream, simulate_faulty_stream, FaultStreamOutcome, StreamOutcome, StreamStatus,
-};
+pub use stream::{simulate_faulty_stream, FaultStreamOutcome, StreamOutcome, StreamStatus};
 pub use verify::{
     random_program_inputs, run_program_chain, run_program_reference, verify_elements,
     verify_program, VerifyResult,

@@ -1,14 +1,23 @@
-//! Online serving: a deterministic virtual-clock event loop in which
-//! admission, batch formation, DMA, and completion interleave.
+//! The serving round loop: a deterministic virtual-clock event loop in
+//! which admission, batch formation, DMA, and completion interleave.
 //!
-//! [`crate::stream`] folds over a pre-generated request list: every
-//! request exists before the first round is formed, and the scheduler
-//! only ever looks at the head of the queue. This module replays the
-//! same virtual clock as a *reactor*: arrivals enter the system at
-//! their arrival tick, batch formation is a decision point that can
-//! wait, close early, reorder by priority, or refuse admission — and
-//! the whole thing stays exact integer-tick arithmetic, so a neutral
-//! policy reproduces the offline scheduler bit for bit.
+//! Every stream configuration runs through the one loop behind
+//! [`simulate_online_stream`] ([`crate::simulate_faulty_stream`] is its
+//! FIFO call). Arrivals enter at their arrival tick through an
+//! admission queue, so the wait queue only ever holds work that has
+//! arrived and is unresolved. Batch formation is a decision point that
+//! can wait, close early, reorder by priority, or refuse admission, and
+//! the whole thing stays exact integer-tick arithmetic.
+//!
+//! The hardware is two serially reused resources, the DMA engine and
+//! the accelerator chain. Double-buffered, round `r+1`'s inputs load
+//! and round `r-1`'s outputs drain while round `r` computes. The serial
+//! schedule is the degenerate case: the DMA is held until the round's
+//! outputs drain (or until its error or outage tick). Faults from a
+//! [`FaultPlan`] perturb rounds as they are walked; failed work
+//! re-enters the wait queue under the [`RecoverySpec`]. Board-outage
+//! semantics tear down DMA and chain at one tick, so an armed outage
+//! forces the serial schedule.
 //!
 //! Policies layered on the loop (all per [`OnlineSpec`]):
 //!
@@ -28,23 +37,18 @@
 //!   arrival tick instead of joining (retries are already in the
 //!   system and bypass the gate).
 //!
-//! With every policy disabled (`OnlineSpec::fifo()`) and an unarmed
-//! fault plan, the serial loop terminates through the same closed-tick
-//! fast-forward as [`crate::stream::simulate_batch_stream`] and both
-//! loops produce tick- and bit-identical [`StreamOutcome`]s — enforced
-//! by differential proptests at the workspace root.
+//! With every policy disabled (`OnlineSpec::fifo()`), an unarmed fault
+//! plan and the serial schedule, the loop ends in the closed-tick
+//! fast-forward once nothing is left to admit: the remaining rounds are
+//! identical and are placed by multiplication.
 
 use crate::des::Time;
 use crate::fault::{FaultPlan, RecoverySpec};
 use crate::sim::{program_round, ProgramRound, SimConfig};
-use crate::stream::{
-    drain_faulty, intervals_intersection, shed_expired, FaultAcc, FaultStreamOutcome, Pend,
-    StreamStatus,
-};
-use std::collections::VecDeque;
+use crate::stream::{intervals_intersection, FaultStreamOutcome, StreamOutcome, StreamStatus};
 use sysgen::MultiSystemDesign;
 
-/// Serving policy for the online event loop.
+/// Serving policy for the round loop.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OnlineSpec {
     /// Per-request latency budget (p99 SLO) in ticks; also arms the
@@ -78,7 +82,7 @@ impl OnlineSpec {
     }
 }
 
-/// [`FaultStreamOutcome`] plus the online loop's policy counters.
+/// [`FaultStreamOutcome`] plus the online policy counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineOutcome {
     pub fault: FaultStreamOutcome,
@@ -89,13 +93,14 @@ pub struct OnlineOutcome {
     pub early_closed_rounds: usize,
 }
 
-/// Serve `arrivals` (sorted arrival ticks) through the online event
-/// loop under `plan`, `rec`, and the online policy `spec`.
+/// Serve `arrivals` (sorted arrival ticks) on `design` under `plan`,
+/// `rec`, and the online policy `spec`.
 ///
-/// The effective per-request deadline is the tighter of `rec`'s
-/// deadline and the SLO budget. Like [`crate::simulate_faulty_stream`],
-/// an armed outage degrades double buffering to the serial loop (an
-/// outage tears down DMA and chain at one tick).
+/// `capacity` is clamped to `[1, m]`. `overlap` requests the
+/// double-buffered schedule, which runs only if every stage keeps a
+/// spare PLM set (`m >= 2·k_i`) and no outage is armed. The effective
+/// per-request deadline is the tighter of `rec`'s deadline and the SLO
+/// budget.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_online_stream(
     design: &MultiSystemDesign,
@@ -117,104 +122,461 @@ pub fn simulate_online_stream(
     );
     let capacity = capacity.clamp(1, design.config.m);
     let round = program_round(design, cfg);
-    let overlap = overlap && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
-    let rec_eff = RecoverySpec {
+    let double_buffered = overlap
+        && plan.outage.is_none()
+        && design.config.ks.iter().all(|&k| design.config.m >= 2 * k);
+    let rec = RecoverySpec {
         deadline_ticks: match (spec.slo_ticks, rec.deadline_ticks) {
             (Some(s), Some(d)) => Some(s.min(d)),
-            (Some(s), None) => Some(s),
-            (None, d) => d,
+            (s, d) => s.or(d),
         },
         ..*rec
     };
-    if overlap && plan.outage.is_none() {
-        online_overlapped(arrivals, capacity, &round, plan, &rec_eff, spec)
-    } else {
-        online_serial(arrivals, capacity, &round, plan, &rec_eff, spec)
+    RoundLoop {
+        round: &round,
+        capacity,
+        double_buffered,
+        plan,
+        rec: &rec,
+        spec,
+        pending: Vec::new(),
+        dma_free: 0,
+        dma_iv: Vec::new(),
+        out: FaultStreamOutcome {
+            stream: StreamOutcome {
+                admitted_ticks: vec![0; arrivals.len()],
+                completion_ticks: vec![0; arrivals.len()],
+                round_fills: Vec::new(),
+                exec_ticks: 0,
+                transfer_ticks: 0,
+                overlapped_ticks: 0,
+                makespan_ticks: 0,
+                fast_forwarded_rounds: 0,
+                double_buffered,
+            },
+            statuses: vec![StreamStatus::Completed; arrivals.len()],
+            attempts: vec![0; arrivals.len()],
+            resolved_ticks: vec![0; arrivals.len()],
+            dma_stalls: 0,
+            transient_faults: 0,
+            corrupt_payloads: 0,
+            outage_requeues: 0,
+        },
+        backpressure_shed: 0,
     }
+    .run(arrivals)
 }
 
-/// Arrival/admission state shared by both loops: the not-yet-admitted
-/// arrival stream (only populated when backpressure is armed) and the
-/// policy counters.
-struct Reactor<'a> {
-    spec: &'a OnlineSpec,
-    incoming: VecDeque<Pend>,
-    backpressure_shed: usize,
-    early_closed_rounds: usize,
+/// A request that has arrived and is unresolved (waiting, in flight,
+/// or waiting to retry).
+#[derive(Debug, Clone, Copy)]
+struct Pend {
+    /// Arrival-order position (the request's identity in fault draws).
+    pos: usize,
+    arrival: Time,
+    /// Earliest tick the request may join a round (arrival, then
+    /// retry-backoff or outage-recovery times).
+    eligible: Time,
+    attempts: u32,
+    failures: u32,
 }
 
-impl<'a> Reactor<'a> {
-    /// Split the arrival stream: without a queue bound every request
-    /// sits in the wait queue from the start (exactly the offline
-    /// fold's view); with one, arrivals are events that admission
-    /// processes at each decision point.
-    fn new(arrivals: &[Time], spec: &'a OnlineSpec) -> (Reactor<'a>, Vec<Pend>) {
-        let mk = |(pos, &a): (usize, &Time)| Pend {
+impl Pend {
+    fn arrived(pos: usize, arrival: Time) -> Pend {
+        Pend {
             pos,
-            arrival: a,
-            eligible: a,
+            arrival,
+            eligible: arrival,
             attempts: 0,
             failures: 0,
-        };
-        let (pending, incoming) = if spec.max_queue.is_some() {
-            (Vec::new(), arrivals.iter().enumerate().map(mk).collect())
-        } else {
-            (
-                arrivals.iter().enumerate().map(mk).collect(),
-                VecDeque::new(),
-            )
-        };
-        let st = Reactor {
-            spec,
-            incoming,
-            backpressure_shed: 0,
-            early_closed_rounds: 0,
-        };
-        (st, pending)
+        }
     }
+}
 
-    fn next_arrival(&self) -> Option<Time> {
-        self.incoming.front().map(|p| p.arrival)
-    }
+/// The round loop: its parameters, the wait queue, the DMA engine's
+/// clock and busy intervals, and the per-request results.
+struct RoundLoop<'a> {
+    round: &'a ProgramRound,
+    capacity: usize,
+    double_buffered: bool,
+    plan: &'a FaultPlan,
+    rec: &'a RecoverySpec,
+    spec: &'a OnlineSpec,
+    /// Arrived, unresolved work not in flight, in arrival order.
+    pending: Vec<Pend>,
+    dma_free: Time,
+    dma_iv: Vec<(Time, Time)>,
+    out: FaultStreamOutcome,
+    backpressure_shed: usize,
+}
 
-    /// Admit every arrival up to `t` into the wait queue, shedding the
-    /// ones that find it full (at their own arrival tick).
-    fn admit(&mut self, pending: &mut Vec<Pend>, acc: &mut FaultAcc, t: Time) {
-        let Some(q) = self.spec.max_queue else {
-            return;
-        };
-        let mut joined = false;
-        while self.incoming.front().is_some_and(|p| p.arrival <= t) {
-            let p = self.incoming.pop_front().unwrap();
-            if pending.len() >= q {
-                acc.resolve(&p, StreamStatus::Shed, p.arrival);
-                self.backpressure_shed += 1;
+impl RoundLoop<'_> {
+    fn run(mut self, arrivals: &[Time]) -> OnlineOutcome {
+        let n = arrivals.len();
+        let round = self.round;
+        let (plan, spec) = (self.plan, self.spec);
+        let exec = round.exec();
+        // The neutral serial stream collapses its tail arithmetically;
+        // anything that can perturb or reorder a round walks every one.
+        let collapse = !self.double_buffered
+            && !plan.armed()
+            && self.rec.deadline_ticks.is_none()
+            && spec.max_queue.is_none()
+            && !spec.has_tiers();
+        // Arrivals `..admitted` have entered the wait queue.
+        let mut admitted = 0usize;
+        let mut early_closed_rounds = 0usize;
+        let mut chain_iv: Vec<(Time, Time)> = Vec::new();
+        let mut chain_free: Time = 0;
+        // The round whose outputs still wait to drain (double-buffered
+        // only): (exec_done, its requests).
+        let mut in_flight: Option<(Time, Vec<Pend>)> = None;
+        let mut round_idx: u64 = 0;
+        // While the loop idles (SLO wait, or a queue of work that is not
+        // yet eligible), the decision point is pinned forward of every
+        // already-known event; reset at each dispatch.
+        let mut wait_floor: Time = 0;
+        loop {
+            let Some(t_min) = self.next_event(arrivals.get(admitted)) else {
+                // Nothing waits or is still to arrive: drain the last
+                // round (which may requeue corrupted payloads).
+                match in_flight.take() {
+                    Some((ready, ents)) => self.drain(ready, ents),
+                    None => break,
+                }
+                continue;
+            };
+            let t_min = t_min.max(wait_floor);
+            // Sparse queue: drain a finished round if it fits before the
+            // next load could even start — the DMA must not idle on a
+            // finished round just because the queue is empty.
+            let dma_free = self.dma_free;
+            if let Some((ready, ents)) =
+                in_flight.take_if(|(ready, _)| (*ready).max(dma_free) + round.t_out <= t_min)
+            {
+                self.drain(ready, ents);
+                continue;
+            }
+            let mut start = self.dma_free.max(t_min);
+            // Admission pauses while the board is down; without recovery
+            // the rest of the stream sheds at the failure tick.
+            if let Some(o) = plan.outage {
+                if start >= o.fail_at {
+                    match o.recover_at {
+                        Some(r) if start < r => start = r,
+                        Some(_) => {}
+                        None => {
+                            // Shed no earlier than the loop's own clock:
+                            // the DMA's release or the tick it idled to.
+                            let at = self.dma_free.max(wait_floor).max(o.fail_at);
+                            self.shed_all(&arrivals[admitted..], admitted, at);
+                            break;
+                        }
+                    }
+                }
+            }
+            // Admit every arrival up to `start`, shedding the ones that
+            // find the queue full (at their own arrival tick). Arrival
+            // order keeps the queue sorted: retries are older.
+            while admitted < n && arrivals[admitted] <= start {
+                let p = Pend::arrived(admitted, arrivals[admitted]);
+                admitted += 1;
+                if spec.max_queue.is_some_and(|q| self.pending.len() >= q) {
+                    self.resolve(&p, StreamStatus::Shed, p.arrival);
+                    self.backpressure_shed += 1;
+                } else {
+                    self.pending.push(p);
+                }
+            }
+            if self.pending.is_empty() || self.shed_expired(start) {
+                continue;
+            }
+            // Backpressure can shed the very arrival that set `t_min`;
+            // idle until the next eligibility or arrival.
+            if self.pending.iter().all(|p| p.eligible > start) {
+                wait_floor = self
+                    .next_event(arrivals.get(admitted))
+                    .expect("the wait queue is not empty");
+                continue;
+            }
+            if collapse && admitted == n {
+                self.fast_forward(start);
+                break;
+            }
+            let early = match self.slo_gate(arrivals.get(admitted).copied(), start) {
+                Gate::Wait(t) => {
+                    wait_floor = t;
+                    continue;
+                }
+                Gate::Dispatch { early } => early,
+            };
+            let mut ents = self.take_fill(start);
+            wait_floor = 0;
+            round_idx += 1;
+            let t_in = if plan.dma_stalls(round_idx) {
+                self.out.dma_stalls += 1;
+                2 * round.t_in
             } else {
-                pending.push(p);
-                joined = true;
+                round.t_in
+            };
+            let in_done = start + t_in;
+            // Hard failure mid-round (serial schedule): in-flight work is
+            // lost at the failure tick. The aborted round bills nothing
+            // (its timers died with the board) and does not consume an
+            // attempt — the requeue waits for recovery.
+            if let Some(o) = plan.outage {
+                if o.fail_at > start && o.fail_at <= in_done + exec + round.t_out {
+                    self.out.outage_requeues += ents.len();
+                    for mut p in ents {
+                        p.eligible = o.recover_at.unwrap_or(Time::MAX);
+                        self.pending.push(p);
+                    }
+                    self.pending.sort_by_key(|p| p.pos);
+                    self.dma_free = o.fail_at;
+                    self.out.stream.makespan_ticks = self.out.stream.makespan_ticks.max(o.fail_at);
+                    continue;
+                }
+            }
+            self.dma_free = in_done;
+            self.out.stream.transfer_ticks += t_in;
+            self.dma_iv.push((start, in_done));
+            for p in &mut ents {
+                p.attempts += 1;
+                self.out.stream.admitted_ticks[p.pos] = start;
+            }
+            self.out.stream.round_fills.push(ents.len());
+            if early {
+                early_closed_rounds += 1;
+            }
+            let exec_start = in_done.max(chain_free);
+            let exec_done = exec_start + exec;
+            chain_free = exec_done;
+            self.out.stream.exec_ticks += exec;
+            chain_iv.push((exec_start, exec_done));
+            self.out.stream.makespan_ticks = self.out.stream.makespan_ticks.max(exec_done);
+            // Drain the previous round's outputs while this one executes.
+            if let Some((ready, prev)) = in_flight.take() {
+                self.drain(ready, prev);
+            }
+            if plan.round_fails(round_idx) {
+                // Transient error at the error interrupt (end of
+                // execution): no drain, the round's payloads are lost.
+                self.out.transient_faults += 1;
+                if !self.double_buffered {
+                    self.dma_free = exec_done;
+                }
+                let mut requeued = false;
+                for p in ents {
+                    requeued |= self.retry_or_fail(p, exec_done);
+                }
+                if requeued {
+                    self.pending.sort_by_key(|p| p.pos);
+                }
+            } else if self.double_buffered {
+                in_flight = Some((exec_done, ents));
+            } else {
+                self.drain(exec_done, ents);
             }
         }
-        if joined {
-            // Retries already in the queue keep their arrival priority.
-            pending.sort_by_key(|p| p.pos);
-        }
-    }
-
-    /// Drop every unadmitted arrival (the board died with no recovery).
-    fn shed_incoming(&mut self, acc: &mut FaultAcc, at: Time) {
-        while let Some(p) = self.incoming.pop_front() {
-            let t = at.max(p.arrival);
-            acc.resolve(&p, StreamStatus::Shed, t);
-            self.backpressure_shed += 1;
-        }
-    }
-
-    fn finish(self, acc: FaultAcc, overlapped_ticks: u64, double_buffered: bool) -> OnlineOutcome {
+        self.out.stream.overlapped_ticks = intervals_intersection(&self.dma_iv, &chain_iv);
         OnlineOutcome {
-            fault: acc.finish(overlapped_ticks, double_buffered),
+            fault: self.out,
             backpressure_shed: self.backpressure_shed,
-            early_closed_rounds: self.early_closed_rounds,
+            early_closed_rounds,
         }
+    }
+
+    /// The earliest tick anything can happen: a queued request becomes
+    /// eligible or the next arrival lands. `None` once both are empty.
+    fn next_event(&self, next_arrival: Option<&Time>) -> Option<Time> {
+        let eligible = self.pending.iter().map(|p| p.eligible);
+        eligible.chain(next_arrival.copied()).min()
+    }
+
+    /// Record a request's terminal state.
+    fn resolve(&mut self, p: &Pend, status: StreamStatus, at: Time) {
+        self.out.statuses[p.pos] = status;
+        self.out.attempts[p.pos] = p.attempts;
+        self.out.resolved_ticks[p.pos] = at;
+        self.out.stream.completion_ticks[p.pos] = at;
+        self.out.stream.makespan_ticks = self.out.stream.makespan_ticks.max(at);
+    }
+
+    /// Charge a failed attempt at `at`: the request fails for good once
+    /// its retries are spent, else it waits out its backoff. Returns
+    /// whether it went back into the wait queue.
+    fn retry_or_fail(&mut self, mut p: Pend, at: Time) -> bool {
+        p.failures += 1;
+        if p.failures > self.rec.max_retries {
+            self.resolve(&p, StreamStatus::Failed, at);
+            false
+        } else {
+            p.eligible = at + self.rec.backoff_after(p.failures);
+            self.pending.push(p);
+            true
+        }
+    }
+
+    /// The board died for good at `at`: shed the wait queue, and every
+    /// arrival not yet admitted (`unadmitted`, starting at position
+    /// `first`). Under a queue bound those arrivals count as backpressure
+    /// and are shed no earlier than their own arrival.
+    fn shed_all(&mut self, unadmitted: &[Time], first: usize, at: Time) {
+        for p in std::mem::take(&mut self.pending) {
+            self.resolve(&p, StreamStatus::Shed, at);
+        }
+        for (pos, &arrival) in (first..).zip(unadmitted) {
+            let t = if self.spec.max_queue.is_some() {
+                self.backpressure_shed += 1;
+                at.max(arrival)
+            } else {
+                at
+            };
+            self.resolve(&Pend::arrived(pos, arrival), StreamStatus::Shed, t);
+        }
+    }
+
+    /// Closed-tick fast-forward: the whole remaining backlog is queued
+    /// and eligible at `start`, so the remaining rounds are identical —
+    /// place them arithmetically instead of walking them.
+    fn fast_forward(&mut self, start: Time) {
+        let (rt, capacity) = (self.round.total(), self.capacity);
+        let queue = std::mem::take(&mut self.pending);
+        let (full, rest) = (queue.len() / capacity, queue.len() % capacity);
+        let rounds = full + usize::from(rest > 0);
+        let stream = &mut self.out.stream;
+        stream
+            .round_fills
+            .extend(std::iter::repeat_n(capacity, full));
+        stream.round_fills.extend((rest > 0).then_some(rest));
+        stream.exec_ticks += rounds as u64 * self.round.exec();
+        stream.transfer_ticks += rounds as u64 * (self.round.t_in + self.round.t_out);
+        stream.fast_forwarded_rounds = rounds;
+        for (i, p) in queue.iter().enumerate() {
+            let admitted = start + (i / capacity) as u64 * rt;
+            self.out.stream.admitted_ticks[p.pos] = admitted;
+            let done = Pend { attempts: 1, ..*p };
+            self.resolve(&done, StreamStatus::Completed, admitted + rt);
+        }
+    }
+
+    /// Drain one finished round's outputs (ready at `ready`): checksum
+    /// each payload, resolve the clean ones, requeue (or fail) the
+    /// corrupted ones.
+    fn drain(&mut self, ready: Time, ents: Vec<Pend>) {
+        let out_start = ready.max(self.dma_free);
+        let out_done = out_start + self.round.t_out;
+        self.dma_free = out_done;
+        self.out.stream.transfer_ticks += self.round.t_out;
+        self.dma_iv.push((out_start, out_done));
+        self.out.stream.makespan_ticks = self.out.stream.makespan_ticks.max(out_done);
+        let mut requeued = false;
+        for p in ents {
+            if self.plan.corrupts(p.pos as u64, p.attempts) {
+                self.out.corrupt_payloads += 1;
+                requeued |= self.retry_or_fail(p, out_done);
+            } else {
+                let status = match self.rec.deadline_ticks {
+                    Some(d) if out_done > p.arrival.saturating_add(d) => StreamStatus::TimedOut,
+                    _ => StreamStatus::Completed,
+                };
+                self.resolve(&p, status, out_done);
+            }
+        }
+        if requeued {
+            // Requeued work keeps its original admission priority.
+            self.pending.sort_by_key(|p| p.pos);
+        }
+    }
+
+    /// Time out every eligible request whose latency budget cannot cover
+    /// even a fault-free round starting at `start`. Returns true if any
+    /// request was shed (the caller re-derives its round start).
+    fn shed_expired(&mut self, start: Time) -> bool {
+        let Some(d) = self.rec.deadline_ticks else {
+            return false;
+        };
+        let rt = self.round.total();
+        let late = |p: &Pend| p.eligible <= start && p.arrival.saturating_add(d) < start + rt;
+        if !self.pending.iter().any(late) {
+            return false;
+        }
+        let (expired, kept): (Vec<Pend>, Vec<Pend>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(late);
+        self.pending = kept;
+        for p in &expired {
+            self.resolve(p, StreamStatus::TimedOut, start);
+        }
+        true
+    }
+
+    /// The SLO batcher: a round below capacity waits while the oldest
+    /// eligible request's budget still covers a full fault-free round
+    /// starting later, and closes early once it no longer does.
+    fn slo_gate(&self, next_arrival: Option<Time>, start: Time) -> Gate {
+        let Some(slo) = self.spec.slo_ticks else {
+            return Gate::Dispatch { early: false };
+        };
+        let pending = &self.pending;
+        let eligible = pending.iter().filter(|p| p.eligible <= start).count();
+        if eligible >= self.capacity {
+            return Gate::Dispatch { early: false };
+        }
+        // The next event that could grow the batch.
+        let next_t = pending
+            .iter()
+            .filter(|p| p.eligible > start)
+            .map(|p| p.eligible)
+            .chain(next_arrival)
+            .min();
+        let Some(next_t) = next_t else {
+            // Tail of the stream: nothing else is coming, dispatch.
+            return Gate::Dispatch { early: false };
+        };
+        let oldest = pending
+            .iter()
+            .filter(|p| p.eligible <= start)
+            .map(|p| p.arrival)
+            .min()
+            .expect("gate runs only with at least one eligible request");
+        let latest_safe = oldest
+            .saturating_add(slo)
+            .saturating_sub(self.round.total());
+        if start >= latest_safe {
+            return Gate::Dispatch { early: true };
+        }
+        Gate::Wait(next_t.min(latest_safe))
+    }
+
+    /// Pull the round's requests out of the wait queue: eligible work in
+    /// `(tier, arrival)` order up to `capacity`, returned in arrival
+    /// order.
+    fn take_fill(&mut self, start: Time) -> Vec<Pend> {
+        let spec = self.spec;
+        let eligible = self.pending.iter().filter(|p| p.eligible <= start);
+        let mut chosen: Vec<usize> = if spec.has_tiers() {
+            let mut by_tier: Vec<(u8, usize)> =
+                eligible.map(|p| (spec.tier_of(p.pos), p.pos)).collect();
+            by_tier.sort_unstable();
+            by_tier.truncate(self.capacity);
+            by_tier.into_iter().map(|(_, pos)| pos).collect()
+        } else {
+            eligible.take(self.capacity).map(|p| p.pos).collect()
+        };
+        chosen.sort_unstable();
+        // One pass: the queue and `chosen` are both in arrival order.
+        let mut ents = Vec::with_capacity(chosen.len());
+        let mut next = chosen.into_iter().peekable();
+        self.pending.retain(|p| {
+            let take = next.peek() == Some(&p.pos);
+            if take {
+                next.next();
+                ents.push(*p);
+            }
+            !take
+        });
+        ents
     }
 }
 
@@ -228,412 +590,11 @@ enum Gate {
     Wait(Time),
 }
 
-/// The SLO batcher: a round below capacity waits while the oldest
-/// eligible request's budget still covers a full fault-free round
-/// starting later, and closes early once it no longer does.
-fn slo_gate(
-    pending: &[Pend],
-    next_arrival: Option<Time>,
-    start: Time,
-    capacity: usize,
-    rt: u64,
-    spec: &OnlineSpec,
-) -> Gate {
-    let Some(slo) = spec.slo_ticks else {
-        return Gate::Dispatch { early: false };
-    };
-    let eligible = pending.iter().filter(|p| p.eligible <= start).count();
-    if eligible >= capacity {
-        return Gate::Dispatch { early: false };
-    }
-    // The next event that could grow the batch.
-    let next_t = pending
-        .iter()
-        .filter(|p| p.eligible > start)
-        .map(|p| p.eligible)
-        .chain(next_arrival)
-        .min();
-    let Some(next_t) = next_t else {
-        // Tail of the stream: nothing else is coming, dispatch.
-        return Gate::Dispatch { early: false };
-    };
-    let oldest = pending
-        .iter()
-        .filter(|p| p.eligible <= start)
-        .map(|p| p.arrival)
-        .min()
-        .expect("gate runs only with at least one eligible request");
-    let latest_safe = oldest.saturating_add(slo).saturating_sub(rt);
-    if start >= latest_safe {
-        return Gate::Dispatch { early: true };
-    }
-    Gate::Wait(next_t.min(latest_safe))
-}
-
-/// Pick the round's requests: eligible work in `(tier, arrival)` order
-/// up to `capacity`, returned as ascending indices into `pending`.
-fn select_fill(pending: &[Pend], spec: &OnlineSpec, start: Time, capacity: usize) -> Vec<usize> {
-    let mut fill: Vec<usize> = pending
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.eligible <= start)
-        .map(|(j, _)| j)
-        .collect();
-    if spec.has_tiers() {
-        fill.sort_by_key(|&j| (spec.tier_of(pending[j].pos), pending[j].pos));
-    }
-    fill.truncate(capacity);
-    // Ascending order so reverse-removal below stays valid.
-    fill.sort_unstable();
-    fill
-}
-
-/// The serial event loop. With every policy neutral and no faults it
-/// terminates through the same closed-tick fast-forward as the offline
-/// serial scheduler and is bit-identical to it.
-fn online_serial(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    spec: &OnlineSpec,
-) -> OnlineOutcome {
-    let n = arrivals.len();
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let (mut st, mut pending) = Reactor::new(arrivals, spec);
-    let collapse_allowed = !plan.armed()
-        && rec.deadline_ticks.is_none()
-        && spec.max_queue.is_none()
-        && !spec.has_tiers();
-    let mut fast_forwarded = 0usize;
-    let mut now: Time = 0;
-    let mut round_idx: u64 = 0;
-    while !pending.is_empty() || !st.incoming.is_empty() {
-        let t_min = pending
-            .iter()
-            .map(|p| p.eligible)
-            .chain(st.next_arrival())
-            .min()
-            .unwrap();
-        let mut start = now.max(t_min);
-        // Admission pauses while the board is down; without recovery the
-        // rest of the queue (admitted or not) sheds at the failure tick.
-        if let Some(o) = plan.outage {
-            if start >= o.fail_at {
-                match o.recover_at {
-                    Some(r) if start < r => start = r,
-                    Some(_) => {}
-                    None => {
-                        let at = now.max(o.fail_at);
-                        for p in std::mem::take(&mut pending) {
-                            acc.resolve(&p, StreamStatus::Shed, at);
-                        }
-                        st.shed_incoming(&mut acc, at);
-                        break;
-                    }
-                }
-            }
-        }
-        st.admit(&mut pending, &mut acc, start);
-        if pending.is_empty() {
-            // Everything arrived so far was shed at admission; the next
-            // iteration jumps to the next arrival.
-            continue;
-        }
-        if shed_expired(&mut pending, &mut acc, rec, start, rt) {
-            continue;
-        }
-        // Backpressure can shed the very arrival that set `t_min`; idle
-        // until something in the queue becomes eligible.
-        if pending.iter().all(|p| p.eligible > start) {
-            now = pending.iter().map(|p| p.eligible).min().unwrap();
-            continue;
-        }
-        // Once every remaining request is in the queue and eligible, the
-        // neutral policy's tail is the offline fast-forward, untouched.
-        if collapse_allowed && pending.last().is_some_and(|p| p.arrival <= start) {
-            let rounds = pending.len().div_ceil(capacity);
-            for (b, chunk) in pending.chunks(capacity).enumerate() {
-                acc.fills.push(chunk.len());
-                let adm = start + b as u64 * rt;
-                for p in chunk {
-                    acc.admitted[p.pos] = adm;
-                    let mut done = p.clone();
-                    done.attempts = 1;
-                    acc.resolve(&done, StreamStatus::Completed, adm + rt);
-                }
-            }
-            acc.exec_ticks += rounds as u64 * exec;
-            acc.transfer_ticks += rounds as u64 * (round.t_in + round.t_out);
-            fast_forwarded = rounds;
-            break;
-        }
-        match slo_gate(&pending, st.next_arrival(), start, capacity, rt, spec) {
-            Gate::Wait(t) => {
-                now = t;
-                continue;
-            }
-            Gate::Dispatch { early } => {
-                let fill = select_fill(&pending, spec, start, capacity);
-                round_idx += 1;
-                let stalled = plan.dma_stalls(round_idx);
-                let t_in = if stalled {
-                    acc.dma_stalls += 1;
-                    2 * round.t_in
-                } else {
-                    round.t_in
-                };
-                let in_done = start + t_in;
-                let exec_done = in_done + exec;
-                let out_done = exec_done + round.t_out;
-                // Hard failure mid-round: in-flight work is lost at the
-                // failure tick; the aborted round bills nothing and does
-                // not consume an attempt.
-                if let Some(o) = plan.outage {
-                    if o.fail_at > start && o.fail_at <= out_done {
-                        acc.outage_requeues += fill.len();
-                        for &j in &fill {
-                            pending[j].eligible = o.recover_at.unwrap_or(Time::MAX);
-                        }
-                        now = o.fail_at;
-                        acc.makespan = acc.makespan.max(now);
-                        continue;
-                    }
-                }
-                for &j in &fill {
-                    let p = &mut pending[j];
-                    p.attempts += 1;
-                    acc.admitted[p.pos] = start;
-                }
-                acc.fills.push(fill.len());
-                if early {
-                    st.early_closed_rounds += 1;
-                }
-                if plan.round_fails(round_idx) {
-                    acc.transient_faults += 1;
-                    acc.exec_ticks += exec;
-                    acc.transfer_ticks += t_in;
-                    now = exec_done;
-                    acc.makespan = acc.makespan.max(now);
-                    for &j in fill.iter().rev() {
-                        pending[j].failures += 1;
-                        if pending[j].failures > rec.max_retries {
-                            let p = pending.remove(j);
-                            acc.resolve(&p, StreamStatus::Failed, exec_done);
-                        } else {
-                            let f = pending[j].failures;
-                            pending[j].eligible = exec_done + rec.backoff_after(f);
-                        }
-                    }
-                    continue;
-                }
-                acc.exec_ticks += exec;
-                acc.transfer_ticks += t_in + round.t_out;
-                now = out_done;
-                acc.makespan = acc.makespan.max(now);
-                for &j in fill.iter().rev() {
-                    let p = &mut pending[j];
-                    if plan.corrupts(p.pos as u64, p.attempts) {
-                        acc.corrupt_payloads += 1;
-                        p.failures += 1;
-                        if p.failures > rec.max_retries {
-                            let p = pending.remove(j);
-                            acc.resolve(&p, StreamStatus::Failed, out_done);
-                        } else {
-                            let f = p.failures;
-                            pending[j].eligible = out_done + rec.backoff_after(f);
-                        }
-                    } else {
-                        let status = match rec.deadline_ticks {
-                            Some(d) if out_done > p.arrival.saturating_add(d) => {
-                                StreamStatus::TimedOut
-                            }
-                            _ => StreamStatus::Completed,
-                        };
-                        let p = pending.remove(j);
-                        acc.resolve(&p, status, out_done);
-                    }
-                }
-            }
-        }
-    }
-    let mut out = st.finish(acc, 0, false);
-    out.fault.stream.fast_forwarded_rounds = fast_forwarded;
-    out
-}
-
-/// The double-buffered event loop (no outage — see
-/// [`simulate_online_stream`]). With every policy neutral it is
-/// bit-identical to the offline overlapped scheduler.
-fn online_overlapped(
-    arrivals: &[Time],
-    capacity: usize,
-    round: &ProgramRound,
-    plan: &FaultPlan,
-    rec: &RecoverySpec,
-    spec: &OnlineSpec,
-) -> OnlineOutcome {
-    let n = arrivals.len();
-    let exec = round.exec();
-    let rt = round.total();
-    let mut acc = FaultAcc::new(n);
-    let (mut st, mut pending) = Reactor::new(arrivals, spec);
-    let mut dma_iv: Vec<(Time, Time)> = Vec::new();
-    let mut chain_iv: Vec<(Time, Time)> = Vec::new();
-    let mut dma_free: Time = 0;
-    let mut chain_free: Time = 0;
-    let mut pending_out: Option<(Time, Vec<Pend>)> = None;
-    let mut round_idx: u64 = 0;
-    // While the SLO batcher idles, the decision point is pinned forward
-    // of every already-known event; reset at each dispatch.
-    let mut wait_floor: Time = 0;
-    while !pending.is_empty() || pending_out.is_some() || !st.incoming.is_empty() {
-        if pending.is_empty() && st.incoming.is_empty() {
-            let (ready, ents) = pending_out.take().unwrap();
-            drain_faulty(
-                ready,
-                ents,
-                round,
-                plan,
-                rec,
-                &mut acc,
-                &mut pending,
-                &mut dma_free,
-                &mut dma_iv,
-            );
-            continue;
-        }
-        let t_min = pending
-            .iter()
-            .map(|p| p.eligible)
-            .chain(st.next_arrival())
-            .min()
-            .unwrap()
-            .max(wait_floor);
-        // Sparse queue: drain a finished round if it fits before the
-        // next load could even start.
-        if let Some((ready, _)) = &pending_out {
-            let out_start = (*ready).max(dma_free);
-            if out_start + round.t_out <= t_min {
-                let (ready, ents) = pending_out.take().unwrap();
-                drain_faulty(
-                    ready,
-                    ents,
-                    round,
-                    plan,
-                    rec,
-                    &mut acc,
-                    &mut pending,
-                    &mut dma_free,
-                    &mut dma_iv,
-                );
-                continue;
-            }
-        }
-        let load_at = dma_free.max(t_min);
-        st.admit(&mut pending, &mut acc, load_at);
-        if pending.is_empty() {
-            continue;
-        }
-        if shed_expired(&mut pending, &mut acc, rec, load_at, rt) {
-            continue;
-        }
-        // Backpressure can shed the arrival that set `t_min`; idle until
-        // the next queue eligibility or arrival.
-        if pending.iter().all(|p| p.eligible > load_at) {
-            let nxt = pending.iter().map(|p| p.eligible).min().unwrap();
-            wait_floor = st.next_arrival().map_or(nxt, |a| nxt.min(a));
-            continue;
-        }
-        match slo_gate(&pending, st.next_arrival(), load_at, capacity, rt, spec) {
-            Gate::Wait(t) => {
-                wait_floor = t;
-                continue;
-            }
-            Gate::Dispatch { early } => {
-                let fill = select_fill(&pending, spec, load_at, capacity);
-                let mut ents: Vec<Pend> = Vec::with_capacity(fill.len());
-                for &j in fill.iter().rev() {
-                    ents.push(pending.remove(j));
-                }
-                ents.reverse();
-                wait_floor = 0;
-                round_idx += 1;
-                let stalled = plan.dma_stalls(round_idx);
-                let t_in = if stalled {
-                    acc.dma_stalls += 1;
-                    2 * round.t_in
-                } else {
-                    round.t_in
-                };
-                let in_done = load_at + t_in;
-                dma_free = in_done;
-                acc.transfer_ticks += t_in;
-                dma_iv.push((load_at, in_done));
-                for p in &mut ents {
-                    p.attempts += 1;
-                    acc.admitted[p.pos] = load_at;
-                }
-                acc.fills.push(ents.len());
-                if early {
-                    st.early_closed_rounds += 1;
-                }
-                let exec_start = in_done.max(chain_free);
-                let exec_done = exec_start + exec;
-                chain_free = exec_done;
-                acc.exec_ticks += exec;
-                chain_iv.push((exec_start, exec_done));
-                acc.makespan = acc.makespan.max(exec_done);
-                // Drain the previous round's outputs while this one
-                // executes.
-                if let Some((ready, prev)) = pending_out.take() {
-                    drain_faulty(
-                        ready,
-                        prev,
-                        round,
-                        plan,
-                        rec,
-                        &mut acc,
-                        &mut pending,
-                        &mut dma_free,
-                        &mut dma_iv,
-                    );
-                }
-                if plan.round_fails(round_idx) {
-                    acc.transient_faults += 1;
-                    let mut requeued = false;
-                    for mut p in ents {
-                        p.failures += 1;
-                        if p.failures > rec.max_retries {
-                            acc.resolve(&p, StreamStatus::Failed, exec_done);
-                        } else {
-                            p.eligible = exec_done + rec.backoff_after(p.failures);
-                            pending.push(p);
-                            requeued = true;
-                        }
-                    }
-                    if requeued {
-                        pending.sort_by_key(|p| p.pos);
-                    }
-                } else {
-                    pending_out = Some((exec_done, ents));
-                }
-            }
-        }
-    }
-    let overlapped = intervals_intersection(&dma_iv, &chain_iv);
-    st.finish(acc, overlapped, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::des::secs;
     use crate::fault::Outage;
-    use crate::stream::{simulate_batch_stream, simulate_faulty_stream};
     use sysgen::Platform;
 
     fn design() -> MultiSystemDesign {
@@ -681,63 +642,6 @@ mod tests {
         // Deterministic "bursty" arrivals: pairs arrive together, pairs
         // separated by `gap`.
         (0..n).map(|i| (i as Time / 2) * gap).collect()
-    }
-
-    #[test]
-    fn neutral_fifo_is_bit_identical_to_the_offline_scheduler() {
-        let d = design();
-        let cfg = SimConfig::default();
-        let arrivals = poisson_like(24, secs(0.0004));
-        for overlap in [false, true] {
-            for capacity in [1, 3, d.config.m] {
-                let offline = simulate_batch_stream(&d, &cfg, &arrivals, capacity, overlap);
-                let online = simulate_online_stream(
-                    &d,
-                    &cfg,
-                    &arrivals,
-                    capacity,
-                    overlap,
-                    &FaultPlan::none(),
-                    &RecoverySpec::default(),
-                    &OnlineSpec::fifo(),
-                );
-                assert_eq!(online.fault.stream, offline);
-                assert_eq!(online.backpressure_shed, 0);
-                assert_eq!(online.early_closed_rounds, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn neutral_fifo_matches_the_fault_loops_under_an_armed_plan() {
-        let d = design();
-        let cfg = SimConfig::default();
-        let arrivals = poisson_like(20, secs(0.0003));
-        let plans = [
-            FaultPlan::transient(7, 0.2),
-            FaultPlan::parse("11:transient=0.15,stall=0.3,corrupt=0.1").unwrap(),
-            FaultPlan::parse("3:fail=0.002,recover=0.004").unwrap(),
-        ];
-        let rec = RecoverySpec {
-            backoff_ticks: secs(0.0001),
-            ..RecoverySpec::default()
-        };
-        for plan in &plans {
-            for overlap in [false, true] {
-                let offline = simulate_faulty_stream(&d, &cfg, &arrivals, 4, overlap, plan, &rec);
-                let online = simulate_online_stream(
-                    &d,
-                    &cfg,
-                    &arrivals,
-                    4,
-                    overlap,
-                    plan,
-                    &rec,
-                    &OnlineSpec::fifo(),
-                );
-                assert_eq!(online.fault, offline, "plan {}", plan.label());
-            }
-        }
     }
 
     #[test]
