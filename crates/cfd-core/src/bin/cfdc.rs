@@ -54,7 +54,7 @@
 //! diagnosis), mirroring the structured `FlowError::DoesNotFit`
 //! introduced for small-board compiles.
 
-use cfd_core::dse::{DseEngine, DseGrid, ProgramDseEngine};
+use cfd_core::dse::{DseEngine, DseGrid};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowOptions,
@@ -599,7 +599,11 @@ fn parse_common(args: &[String]) -> Result<Parsed, CliError> {
         kernel_count = set.kernels.len();
         if let Some(name) = &kernel {
             match set.find_kernel(name) {
-                Some(k) => source = cfdlang::pretty(&k.program),
+                // Keep the `kernel NAME { }` wrapper so the reduced
+                // source still carries the kernel's name.
+                Some(k) => {
+                    source = format!("kernel {} {{\n{}}}\n", k.name, cfdlang::pretty(&k.program))
+                }
                 None => {
                     return Err(CliError::UnknownKernel {
                         name: name.clone(),
@@ -1260,29 +1264,33 @@ fn cmd_serve_fleet(p: &Parsed) {
 
 fn cmd_explore(args: &[String]) {
     let p = parse_or_exit(args);
-    if p.is_program() {
-        return cmd_explore_program(&p);
+    if p.is_program() && p.boards.is_none() && !p.grid {
+        return explore_program_listing(&p);
     }
-    let engine = DseEngine::prepare(&p.source, &p.opts).unwrap_or_else(|e| {
+    let engine = DseEngine::prepare_program(&p.source, &p.program_options()).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
+    // Sweep default: small enough to keep 32 simulations quick.
+    let elements = if p.elements_set { p.elements } else { 10_000 };
     if let Some(platforms) = &p.boards {
-        let elements = if p.elements_set { p.elements } else { 10_000 };
         let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
         return print_portfolio(&report, p.json);
     }
     if p.grid {
-        // Sweep default: small enough to keep 32 simulations quick.
-        let elements = if p.elements_set { p.elements } else { 10_000 };
         let report = engine.run(&DseGrid::default(), p.jobs, elements);
         if p.json {
             println!("{}", report.to_json());
         } else {
             print!("{}", report.render_table());
             if let Some(best) = report.best() {
+                let program = if p.is_program() {
+                    format!(", program {}", best.kernel)
+                } else {
+                    String::new()
+                };
                 println!(
-                    "best: {} ({:.0} elements/s)",
+                    "best: {} ({:.0} elements/s{program})",
                     best.point.label(),
                     best.throughput_eps
                 );
@@ -1346,42 +1354,9 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
     }
 }
 
-/// Joint exploration of a multi-kernel program.
-fn cmd_explore_program(p: &Parsed) {
-    if let Some(platforms) = &p.boards {
-        let engine =
-            ProgramDseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
-                eprintln!("compilation failed: {e}");
-                exit(1)
-            });
-        let elements = if p.elements_set { p.elements } else { 10_000 };
-        let report = engine.run_portfolio(platforms, &DseGrid::default(), p.jobs, elements);
-        return print_portfolio(&report, p.json);
-    }
-    if p.grid {
-        let engine =
-            ProgramDseEngine::prepare(&p.source, &p.program_options()).unwrap_or_else(|e| {
-                eprintln!("compilation failed: {e}");
-                exit(1)
-            });
-        let elements = if p.elements_set { p.elements } else { 10_000 };
-        let report = engine.run(&DseGrid::default(), p.jobs, elements);
-        if p.json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_table());
-            if let Some(best) = report.best() {
-                println!(
-                    "best: {} ({:.0} elements/s, program {})",
-                    best.point.label(),
-                    best.throughput_eps,
-                    best.kernel
-                );
-            }
-        }
-        return;
-    }
-    // Listing mode: compile the program once, enumerate uniform configs.
+/// The multi-kernel feasibility listing: compile the program once,
+/// enumerate uniform configurations.
+fn explore_program_listing(p: &Parsed) {
     let art = ProgramFlow::compile(&p.source, &p.program_options()).unwrap_or_else(|e| {
         eprintln!("compilation failed: {e}");
         exit(1)
@@ -1652,6 +1627,16 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn kernel_selection_keeps_the_kernel_name() {
+        let p = parse_common(&args(&["simstep:4", "--kernel", "project"])).unwrap();
+        assert!(!p.is_program());
+        let set = cfdlang::parse_set(&p.source).unwrap();
+        assert_eq!(set.kernel_names(), vec!["project"]);
+        let engine = DseEngine::prepare_program(&p.source, &p.program_options()).unwrap();
+        assert_eq!(engine.kernel_name(), "project");
     }
 
     #[test]

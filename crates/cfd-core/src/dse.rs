@@ -4,16 +4,19 @@
 //! and memory parameters (k, m, PLM sharing, decoupling, array
 //! partitioning). With the monolithic flow each of those design points
 //! re-ran the frontend and middle end from source; here a [`DseEngine`]
-//! compiles source through [`Pipeline::schedule`] exactly once and fans
-//! the per-point backend/system stages out across a scoped worker pool.
+//! compiles every kernel of the source through [`Pipeline::schedule`]
+//! (plus the cross-kernel link) exactly once and fans the per-point
+//! backend/system stages out across a scoped worker pool. A
+//! single-kernel source is the one-kernel program: one engine and one
+//! sweep loop serve both.
 //!
-//! On top of the single-board sweep, [`DseEngine::run_portfolio`] (and
-//! its program twin) crosses the grid with a **platform catalog and
-//! each platform's fabric-clock ladder**: backends are memoized per
-//! (clock, backend options), every combination is costed under its
-//! platform's Eq. (3) budget, and the [`PortfolioReport`] marks each
-//! platform's Pareto frontier over (simulated time, resource fit) —
-//! the heterogeneous-portfolio view: pick the node that fits the job.
+//! On top of the single-board sweep, [`DseEngine::run_portfolio`]
+//! crosses the grid with a **platform catalog and each platform's
+//! fabric-clock ladder**: backends are memoized per (clock, backend
+//! options), every combination is costed under its platform's Eq. (3)
+//! budget, and the [`PortfolioReport`] marks each platform's Pareto
+//! frontier over (simulated time, resource fit) — the
+//! heterogeneous-portfolio view: pick the node that fits the job.
 //!
 //! ```
 //! use cfd_core::dse::{DseEngine, DseGrid};
@@ -36,14 +39,17 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use sysgen::{Platform, SystemConfig};
+use pschedule::CrossLiveness;
+use sysgen::{Platform, ProgramSystemConfig, SystemConfig};
 use teil::TensorKind;
 use zynq::SimConfig;
 
-use crate::cache::{CacheCounters, CompileCache};
+use crate::cache::CacheCounters;
 use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
+use crate::program::{ProgramBuild, ProgramOptions};
 use crate::{Artifacts, FlowError, FlowOptions};
 
 /// One point of the exploration grid.
@@ -373,410 +379,47 @@ impl DseReport {
     }
 }
 
-/// The exploration engine: source is compiled through the scheduling
-/// stage exactly once at [`DseEngine::prepare`]; every design point then
-/// reuses the shared [`Scheduled`] artifacts.
+/// The exploration engine over a program of one or more kernels (a
+/// plain source is the one-kernel program). Every kernel's frontend,
+/// middle end and schedule, plus the cross-kernel link, run exactly once
+/// at [`DseEngine::prepare_program`]. A grid point then fixes the backend
+/// axes (sharing, decoupling, partitioning) for every kernel plus a
+/// uniform replication `k`/`m`, and the whole chain is costed under the
+/// platform's board budget through the same program build
+/// [`ProgramFlow`](crate::ProgramFlow) uses, so sweep rankings always
+/// match what a real compile would build.
 #[derive(Debug)]
 pub struct DseEngine {
     pipeline: Pipeline,
-    base: FlowOptions,
-    scheduled: Scheduled,
-    frontend_s: f64,
-    /// Kernel name the sweep rows are labelled with.
-    kernel_name: String,
-    /// Name of the kernel's largest input array: the target for the
-    /// `partition` axis of the grid.
-    partition_target: Option<String>,
-}
-
-impl DseEngine {
-    /// Compile the shared stages (frontend → middle end → schedule) once.
-    /// `base` supplies everything the grid does not vary: scheduler and
-    /// canonicalization options, board, HLS clock, element count.
-    /// Multi-kernel sources are rejected — use [`ProgramDseEngine`].
-    pub fn prepare(source: &str, base: &FlowOptions) -> Result<DseEngine, FlowError> {
-        DseEngine::prepare_on(Pipeline::new(), source, base)
-    }
-
-    /// Like [`DseEngine::prepare`], with the shared stages memoized
-    /// through a [`CompileCache`] — a warm cache skips the scheduling
-    /// stage entirely, so repeated explorations of unchanged source pay
-    /// only frontend + middle end.
-    pub fn prepare_cached(
-        source: &str,
-        base: &FlowOptions,
-        cache: std::sync::Arc<CompileCache>,
-    ) -> Result<DseEngine, FlowError> {
-        DseEngine::prepare_on(Pipeline::with_cache(cache), source, base)
-    }
-
-    fn prepare_on(
-        pipeline: Pipeline,
-        source: &str,
-        base: &FlowOptions,
-    ) -> Result<DseEngine, FlowError> {
-        let set = cfdlang::parse_set(source)?;
-        if set.is_multi() {
-            return Err(FlowError::Backend(
-                "multi-kernel program source: use ProgramDseEngine for joint sweeps".into(),
-            ));
-        }
-        let kernel_name = set
-            .kernels
-            .first()
-            .map(|k| k.name.clone())
-            .unwrap_or_else(|| "main".to_string());
-        let fe = pipeline.frontend(source)?;
-        let me = pipeline.middle_end(&fe, base)?;
-        let sc = pipeline.schedule(&me, base);
-        let module = &sc.middle.module;
-        let partition_target = module
-            .of_kind(TensorKind::Input)
-            .into_iter()
-            .max_by_key(|&id| module.shape(id).iter().product::<usize>())
-            .map(|id| module.name(id).to_string());
-        Ok(DseEngine {
-            pipeline,
-            base: base.clone(),
-            scheduled: sc,
-            frontend_s: fe.elapsed_s,
-            kernel_name,
-            partition_target,
-        })
-    }
-
-    /// Kernel name the sweep is labelled with.
-    pub fn kernel_name(&self) -> &str {
-        &self.kernel_name
-    }
-
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// The shared scheduling-stage output every point starts from.
-    pub fn scheduled(&self) -> &Scheduled {
-        &self.scheduled
-    }
-
-    /// Wall-clock cost of the shared stages.
-    pub fn shared_timings(&self) -> StageTimings {
-        StageTimings {
-            frontend_s: self.frontend_s,
-            middle_end_s: self.scheduled.middle.elapsed_s,
-            schedule_s: self.scheduled.elapsed_s,
-            ..Default::default()
-        }
-    }
-
-    /// The flow options for one design point: the engine's base options
-    /// with the point's backend/system axes applied.
-    pub fn options_for(&self, point: &DsePoint) -> FlowOptions {
-        let mut opts = self.base.clone();
-        opts.decoupled = point.decoupled;
-        opts.memory.sharing = point.sharing;
-        // A factor > 1 overrides the partition set; factor 1 means "as the
-        // base options say", so any base partitioning is left untouched.
-        if point.partition > 1 {
-            if let Some(name) = &self.partition_target {
-                opts.hls.partition = vec![(name.clone(), point.partition)];
-            }
-        }
-        opts.system = Some(SystemConfig {
-            k: point.k,
-            m: point.m,
-        });
-        opts
-    }
-
-    /// Run the backend + system stages for one point and simulate the
-    /// result. Never re-runs the shared stages. (Point-wise API: compiles
-    /// the point's backend inline; [`DseEngine::run`] memoizes backends
-    /// across the grid instead.)
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        let t = Instant::now();
-        let opts = self.options_for(point);
-        let be = self.pipeline.backend(&self.scheduled, &opts);
-        self.evaluate_with_backend(point, &opts, &be, elements, t)
-    }
-
-    /// System stage + simulation for one point against an
-    /// already-compiled backend.
-    fn evaluate_with_backend(
-        &self,
-        point: &DsePoint,
-        opts: &FlowOptions,
-        be: &Backend,
-        elements: usize,
-        started: Instant,
-    ) -> DseOutcome {
-        let sys = match self.pipeline.system(be, opts) {
-            Ok(sys) => sys.system,
-            // DoesNotFit (and any future system-stage error) marks the
-            // point infeasible rather than aborting the sweep.
-            Err(_) => None,
-        };
-        match sys {
-            Some(design) => {
-                let sim = zynq::simulate_hw(
-                    &design,
-                    &SimConfig {
-                        elements,
-                        ..Default::default()
-                    },
-                );
-                let (service_rps, service_p99_s) =
-                    service_probe(&sysgen::MultiSystemDesign::from_single(&design));
-                DseOutcome {
-                    point: *point,
-                    kernel: self.kernel_name.clone(),
-                    feasible: true,
-                    luts: design.luts,
-                    ffs: design.ffs,
-                    dsps: design.dsps,
-                    brams: design.brams,
-                    plm_brams: be.memory.brams,
-                    latency_cycles: be.hls_report.latency_cycles,
-                    total_s: sim.total_s,
-                    throughput_eps: if sim.total_s > 0.0 {
-                        elements as f64 / sim.total_s
-                    } else {
-                        0.0
-                    },
-                    service_rps,
-                    service_p99_s,
-                    eval_s: started.elapsed().as_secs_f64(),
-                }
-            }
-            None => DseOutcome {
-                point: *point,
-                kernel: self.kernel_name.clone(),
-                feasible: false,
-                luts: 0,
-                ffs: 0,
-                dsps: 0,
-                brams: 0,
-                plm_brams: be.memory.brams,
-                latency_cycles: be.hls_report.latency_cycles,
-                total_s: 0.0,
-                throughput_eps: 0.0,
-                service_rps: 0.0,
-                service_p99_s: 0.0,
-                eval_s: started.elapsed().as_secs_f64(),
-            },
-        }
-    }
-
-    /// Sweep the grid with `jobs` worker threads (0 = one per available
-    /// core) and return the ranked report.
-    ///
-    /// Backends are **memoized on the backend-relevant point subset**
-    /// (sharing, decoupling, partitioning): grid points that differ only
-    /// in the system-stage knobs `k`/`m` share one compiled kernel, HLS
-    /// estimate and memory subsystem. Each worker accumulates outcomes in
-    /// its own buffer — no shared lock on the hot path.
-    pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
-        let points = grid.points();
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            jobs
-        }
-        .min(points.len().max(1));
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let t = Instant::now();
-
-        // Unique backend configurations, first-seen order.
-        let mut keys: Vec<BackendKey> = Vec::new();
-        let mut key_of_point: Vec<usize> = Vec::with_capacity(points.len());
-        for p in &points {
-            let k = p.backend_key();
-            let idx = keys.iter().position(|&e| e == k).unwrap_or_else(|| {
-                keys.push(k);
-                keys.len() - 1
-            });
-            key_of_point.push(idx);
-        }
-        // Representative options per key (k/m axes are irrelevant to the
-        // backend stage).
-        let key_opts: Vec<FlowOptions> = keys
-            .iter()
-            .map(|k| {
-                let rep = points
-                    .iter()
-                    .find(|p| p.backend_key() == *k)
-                    .expect("key from points");
-                self.options_for(rep)
-            })
-            .collect();
-
-        // Compile the unique backends on the worker pool: worker `w`
-        // takes keys w, w+stride, ... and returns them with their index.
-        let t_backend = Instant::now();
-        let backends: Vec<Backend> = {
-            let workers = jobs.min(keys.len()).max(1);
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let key_opts = &key_opts;
-                        scope.spawn(move || {
-                            (w..key_opts.len())
-                                .step_by(workers)
-                                .map(|i| (i, self.pipeline.backend(&self.scheduled, &key_opts[i])))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, be)| be).collect()
-        };
-        let backend_s = t_backend.elapsed().as_secs_f64();
-
-        // Fan the system stage + simulation out over the points, one
-        // outcome buffer per worker.
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<DseOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let points = &points;
-                let key_of_point = &key_of_point;
-                let key_opts = &key_opts;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<DseOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let ki = key_of_point[i];
-                        // The representative options only differ from the
-                        // point's in k/m — pass the point's own system
-                        // config through.
-                        let mut opts = key_opts[ki].clone();
-                        opts.system = Some(sysgen::SystemConfig {
-                            k: points[i].k,
-                            m: points[i].m,
-                        });
-                        local.push(self.evaluate_with_backend(
-                            &points[i],
-                            &opts,
-                            &backends[ki],
-                            elements,
-                            started,
-                        ));
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        outcomes.sort_by(|a, b| {
-            b.feasible
-                .cmp(&a.feasible)
-                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
-                .then(a.brams.cmp(&b.brams))
-                .then(a.luts.cmp(&b.luts))
-                .then(a.point.label().cmp(&b.point.label()))
-        });
-        let feasible = outcomes.iter().filter(|o| o.feasible).count();
-        let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
-        let eval_max_s = outcomes.iter().map(|o| o.eval_s).fold(0.0, f64::max);
-        DseReport {
-            evaluated: outcomes.len(),
-            feasible,
-            jobs,
-            elements,
-            wall_s: t.elapsed().as_secs_f64(),
-            shared: self.shared_timings(),
-            counts: self.pipeline.counters(),
-            cache: self.pipeline.cache_counters(),
-            oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
-            backend_compiles: keys.len(),
-            backend_reuses: points.len() - keys.len(),
-            backend_s,
-            eval_total_s,
-            eval_mean_s: if outcomes.is_empty() {
-                0.0
-            } else {
-                eval_total_s / outcomes.len() as f64
-            },
-            eval_max_s,
-            outcomes,
-        }
-    }
-
-    /// Build full [`Artifacts`] for one option combination on top of the
-    /// shared stages — the cheap replacement for `Flow::compile` when
-    /// only backend/system options differ from the engine's base (the
-    /// canonicalization and scheduler axes are taken from the base, not
-    /// from `opts`).
-    pub fn artifacts_for(&self, opts: &FlowOptions) -> Result<Artifacts, FlowError> {
-        let be = self.pipeline.backend(&self.scheduled, opts);
-        let sys = self.pipeline.system(&be, opts)?;
-        let fe = crate::pipeline::Frontend {
-            typed: std::sync::Arc::clone(&self.scheduled.middle.typed),
-            elapsed_s: self.frontend_s,
-        };
-        Ok(Artifacts::assemble(&fe, &self.scheduled, be, sys, opts))
-    }
-}
-
-/// Joint design-space exploration over a **multi-kernel program**: one
-/// grid point fixes the backend axes (sharing, decoupling, partitioning)
-/// for *every* kernel plus a uniform replication `k`/`m`, and the whole
-/// chain is costed under the shared board budget. The per-kernel shared
-/// stages (frontend, middle end, schedule, link) run once at
-/// [`ProgramDseEngine::prepare`]; backends are memoized on
-/// **(kernel, backend key)** — the existing single-kernel memoization,
-/// keyed additionally by kernel.
-#[derive(Debug)]
-pub struct ProgramDseEngine {
-    pipeline: Pipeline,
-    base: crate::program::ProgramOptions,
+    base: ProgramOptions,
     names: Vec<String>,
+    /// Label of every sweep row: the kernel names joined by `+`.
+    label: String,
     scheds: Vec<Scheduled>,
-    cross: std::sync::Arc<pschedule::CrossLiveness>,
-    /// Largest input array per kernel (the `partition` axis target).
+    cross: Arc<CrossLiveness>,
+    /// Largest input array per kernel: the target of the grid's
+    /// `partition` axis.
     partition_targets: Vec<Option<String>>,
     shared: StageTimings,
 }
 
-impl ProgramDseEngine {
+impl DseEngine {
+    /// [`DseEngine::prepare_program`] with default program options:
+    /// `base` supplies everything the grid does not vary (scheduler and
+    /// canonicalization options, board, HLS clock, element count).
+    pub fn prepare(source: &str, base: &FlowOptions) -> Result<DseEngine, FlowError> {
+        DseEngine::prepare_program(
+            source,
+            &ProgramOptions {
+                flow: base.clone(),
+                ..ProgramOptions::default()
+            },
+        )
+    }
+
     /// Compile every kernel's shared stages plus the link stage once.
-    pub fn prepare(
-        source: &str,
-        base: &crate::program::ProgramOptions,
-    ) -> Result<ProgramDseEngine, FlowError> {
-        ProgramDseEngine::prepare_on(Pipeline::new(), source, base)
-    }
-
-    /// Like [`ProgramDseEngine::prepare`], with every kernel's shared
-    /// stages memoized through a [`CompileCache`].
-    pub fn prepare_cached(
-        source: &str,
-        base: &crate::program::ProgramOptions,
-        cache: std::sync::Arc<CompileCache>,
-    ) -> Result<ProgramDseEngine, FlowError> {
-        ProgramDseEngine::prepare_on(Pipeline::with_cache(cache), source, base)
-    }
-
-    fn prepare_on(
-        pipeline: Pipeline,
-        source: &str,
-        base: &crate::program::ProgramOptions,
-    ) -> Result<ProgramDseEngine, FlowError> {
+    pub fn prepare_program(source: &str, base: &ProgramOptions) -> Result<DseEngine, FlowError> {
+        let pipeline = Pipeline::new();
         let fronts = pipeline.program_frontend(source)?;
         let names: Vec<String> = fronts.iter().map(|(n, _)| n.clone()).collect();
         let kopts = FlowOptions {
@@ -789,7 +432,7 @@ impl ProgramDseEngine {
             scheds.push(pipeline.schedule(&me, &kopts));
         }
         let link = pipeline.link(&names, &scheds)?;
-        let partition_targets: Vec<Option<String>> = scheds
+        let partition_targets = scheds
             .iter()
             .map(|sc| {
                 let module = &sc.middle.module;
@@ -807,9 +450,10 @@ impl ProgramDseEngine {
             link_s: link.elapsed_s,
             ..Default::default()
         };
-        Ok(ProgramDseEngine {
+        Ok(DseEngine {
             pipeline,
             base: base.clone(),
+            label: names.join("+"),
             names,
             scheds,
             cross: link.cross,
@@ -818,26 +462,35 @@ impl ProgramDseEngine {
         })
     }
 
+    /// The label sweep rows carry: the kernel name, or the program's
+    /// kernel names joined by `+`.
+    pub fn kernel_name(&self) -> &str {
+        &self.label
+    }
+
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
     }
 
-    /// Kernel names in execution order.
-    pub fn kernel_names(&self) -> &[String] {
-        &self.names
+    /// The first kernel's scheduling-stage output (the only one of a
+    /// one-kernel program).
+    pub fn scheduled(&self) -> &Scheduled {
+        &self.scheds[0]
     }
 
-    /// The joint label sweep rows carry.
-    pub fn program_label(&self) -> String {
-        self.names.join("+")
+    /// Wall-clock cost of the shared stages.
+    pub fn shared_timings(&self) -> StageTimings {
+        self.shared
     }
 
-    /// Per-kernel backend options for one grid point.
-    fn kernel_options_for(&self, point: &DsePoint, kernel: usize) -> FlowOptions {
+    /// Kernel `kernel`'s backend options for one point.
+    fn kernel_options(&self, point: &DsePoint, kernel: usize) -> FlowOptions {
         let mut opts = self.base.flow.clone();
         opts.system = None;
         opts.decoupled = point.decoupled;
         opts.memory.sharing = point.sharing;
+        // A factor > 1 overrides the partition set; factor 1 means "as the
+        // base options say", so any base partitioning is left untouched.
         if point.partition > 1 {
             if let Some(name) = &self.partition_targets[kernel] {
                 opts.hls.partition = vec![(name.clone(), point.partition)];
@@ -846,202 +499,178 @@ impl ProgramDseEngine {
         opts
     }
 
-    /// Evaluate one joint point against already-compiled per-kernel
-    /// backends. System costs come from the same [`ProgramBuild`]
-    /// construction `ProgramFlow::compile` uses, so sweep rankings
-    /// always match what a real compile would build.
-    fn evaluate_with_backends(
-        &self,
-        platform: &Platform,
-        point: &DsePoint,
-        backends: &[Backend],
-        elements: usize,
-        started: Instant,
-    ) -> DseOutcome {
-        let cross_sharing = self.base.cross_sharing && point.sharing;
-        let memory_opts = {
-            let mut m = self.base.flow.memory.clone();
-            m.sharing = point.sharing;
-            m
-        };
+    /// The flow options for one design point: the engine's base options
+    /// with the point's backend/system axes applied (the partition axis
+    /// targets the first kernel).
+    pub fn options_for(&self, point: &DsePoint) -> FlowOptions {
+        FlowOptions {
+            system: Some(SystemConfig {
+                k: point.k,
+                m: point.m,
+            }),
+            ..self.kernel_options(point, 0)
+        }
+    }
+
+    /// Compile every kernel's backend for `point` at `clock_mhz` and
+    /// merge them into the program build all of the point's (platform,
+    /// `k`, `m`) variants are costed from.
+    fn build(&self, point: &DsePoint, clock_mhz: f64) -> ProgramBuild {
+        let backends: Vec<Backend> = self
+            .scheds
+            .iter()
+            .enumerate()
+            .map(|(i, sc)| {
+                let mut opts = self.kernel_options(point, i);
+                opts.hls.clock_mhz = clock_mhz;
+                self.pipeline.backend(sc, &opts)
+            })
+            .collect();
+        let mut memory = self.base.flow.memory.clone();
+        memory.sharing = point.sharing;
         let brefs: Vec<&Backend> = backends.iter().collect();
-        let build = crate::program::ProgramBuild::prepare(
+        ProgramBuild::prepare(
             &self.names,
             &self.cross,
             &brefs,
-            &memory_opts,
-            cross_sharing,
-        );
-        let cfg = sysgen::ProgramSystemConfig::uniform(point.k, point.m, self.names.len());
-        let memory_brams = build.memory.brams;
-        let design = build.design_for(platform, cfg);
-        let latency_cycles: u64 = backends.iter().map(|b| b.hls_report.latency_cycles).sum();
-        match design {
-            Some(design) => {
-                let sim = zynq::simulate_program(
-                    &design,
-                    &SimConfig {
-                        elements,
-                        ..Default::default()
-                    },
-                );
-                let (service_rps, service_p99_s) = service_probe(&design);
-                DseOutcome {
-                    point: *point,
-                    kernel: self.program_label(),
-                    feasible: true,
-                    luts: design.luts,
-                    ffs: design.ffs,
-                    dsps: design.dsps,
-                    brams: design.brams,
-                    plm_brams: memory_brams,
-                    latency_cycles,
-                    total_s: sim.total_s,
-                    throughput_eps: if sim.total_s > 0.0 {
-                        elements as f64 / sim.total_s
-                    } else {
-                        0.0
-                    },
-                    service_rps,
-                    service_p99_s,
-                    eval_s: started.elapsed().as_secs_f64(),
-                }
+            &memory,
+            self.base.cross_sharing && point.sharing,
+        )
+    }
+
+    /// System stage, chained simulation and serving probe for one point
+    /// against its program build.
+    fn cost(
+        &self,
+        build: &ProgramBuild,
+        platform: &Platform,
+        point: &DsePoint,
+        elements: usize,
+        started: Instant,
+    ) -> DseOutcome {
+        self.pipeline.count_system();
+        let cfg = ProgramSystemConfig::uniform(point.k, point.m, self.names.len());
+        let mut outcome = DseOutcome {
+            point: *point,
+            kernel: self.label.clone(),
+            feasible: false,
+            luts: 0,
+            ffs: 0,
+            dsps: 0,
+            brams: 0,
+            plm_brams: build.memory.brams,
+            latency_cycles: build.stages.iter().map(|(_, r)| r.latency_cycles).sum(),
+            total_s: 0.0,
+            throughput_eps: 0.0,
+            service_rps: 0.0,
+            service_p99_s: 0.0,
+            eval_s: 0.0,
+        };
+        if let Some(design) = build.design_for(platform, cfg) {
+            let sim = zynq::simulate_program(
+                &design,
+                &SimConfig {
+                    elements,
+                    ..Default::default()
+                },
+            );
+            (outcome.service_rps, outcome.service_p99_s) = service_probe(&design);
+            outcome.feasible = true;
+            outcome.luts = design.luts;
+            outcome.ffs = design.ffs;
+            outcome.dsps = design.dsps;
+            outcome.brams = design.brams;
+            outcome.total_s = sim.total_s;
+            if sim.total_s > 0.0 {
+                outcome.throughput_eps = elements as f64 / sim.total_s;
             }
-            None => DseOutcome {
-                point: *point,
-                kernel: self.program_label(),
-                feasible: false,
-                luts: 0,
-                ffs: 0,
-                dsps: 0,
-                brams: 0,
-                plm_brams: memory_brams,
-                latency_cycles,
-                total_s: 0.0,
-                throughput_eps: 0.0,
-                service_rps: 0.0,
-                service_p99_s: 0.0,
-                eval_s: started.elapsed().as_secs_f64(),
-            },
+        }
+        outcome.eval_s = started.elapsed().as_secs_f64();
+        outcome
+    }
+
+    /// Evaluate one point on the base platform, compiling its backends
+    /// inline ([`DseEngine::run`] memoizes them across the grid).
+    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
+        let t = Instant::now();
+        let build = self.build(point, self.base.flow.hls.clock_mhz);
+        self.cost(&build, &self.base.flow.platform, point, elements, t)
+    }
+
+    /// The sweep behind [`DseEngine::run`] and
+    /// [`DseEngine::run_portfolio`]: every (platform, clock) target ×
+    /// every grid point, outcomes in that order. The kernels' backends
+    /// and their program build are compiled once per **(clock, backend
+    /// key)** slot and shared by every platform and `k`/`m` that uses
+    /// it; both phases fan out over `jobs` workers (0 = one per core).
+    fn sweep(
+        &self,
+        targets: &[(&Platform, f64)],
+        points: &[DsePoint],
+        jobs: usize,
+        elements: usize,
+    ) -> Sweep {
+        let n = targets.len() * points.len();
+        let jobs = crate::resolve_jobs(jobs).min(n.max(1));
+        // Unique (clock, backend key) slots in first-seen order, with a
+        // representative point each.
+        let mut slots: Vec<(u64, BackendKey, DsePoint)> = Vec::new();
+        let mut slot_of = Vec::with_capacity(n);
+        for &(_, clock) in targets {
+            for p in points {
+                let key = (clock.to_bits(), p.backend_key());
+                let s = match slots.iter().position(|&(c, k, _)| (c, k) == key) {
+                    Some(s) => s,
+                    None => {
+                        slots.push((key.0, key.1, *p));
+                        slots.len() - 1
+                    }
+                };
+                slot_of.push(s);
+            }
+        }
+        let t = Instant::now();
+        let builds = par_map(jobs, slots.len(), |s| {
+            let (clock, _, rep) = slots[s];
+            self.build(&rep, f64::from_bits(clock))
+        });
+        let backend_s = t.elapsed().as_secs_f64();
+        let outcomes = par_map(jobs, n, |i| {
+            let started = Instant::now();
+            let platform = targets[i / points.len()].0;
+            let point = &points[i % points.len()];
+            self.cost(&builds[slot_of[i]], platform, point, elements, started)
+        });
+        let nk = self.names.len();
+        Sweep {
+            outcomes,
+            jobs,
+            backend_compiles: slots.len() * nk,
+            backend_reuses: (n - slots.len()) * nk,
+            backend_s,
         }
     }
 
-    /// Evaluate one joint point (compiles the point's backends inline;
-    /// [`ProgramDseEngine::run`] memoizes them across the grid).
-    pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
-        let t = Instant::now();
-        let backends: Vec<Backend> = (0..self.scheds.len())
-            .map(|ki| {
-                self.pipeline
-                    .backend(&self.scheds[ki], &self.kernel_options_for(point, ki))
-            })
-            .collect();
-        self.evaluate_with_backends(&self.base.flow.platform, point, &backends, elements, t)
-    }
-
-    /// Sweep the grid with `jobs` workers. Backends are memoized on
-    /// (kernel, sharing, decoupled, partition): the default 32-point
+    /// Sweep the grid on the base platform with `jobs` worker threads
+    /// (0 = one per available core) and return the ranked report.
+    ///
+    /// Backends are **memoized on the backend-relevant point subset**
+    /// (sharing, decoupling, partitioning): grid points that differ only
+    /// in the system-stage knobs `k`/`m` share one compiled kernel, HLS
+    /// estimate and memory subsystem per kernel — the default 32-point
     /// grid over a 3-kernel program compiles 12 backends.
     pub fn run(&self, grid: &DseGrid, jobs: usize, elements: usize) -> DseReport {
         let points = grid.points();
-        let nk = self.scheds.len();
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            jobs
-        }
-        .min(points.len().max(1));
         let oracle_base = polyhedra::OracleCounters::snapshot();
         let t = Instant::now();
-
-        // Unique backend keys, first-seen order.
-        let mut keys: Vec<BackendKey> = Vec::new();
-        let mut key_of_point: Vec<usize> = Vec::with_capacity(points.len());
-        for p in &points {
-            let k = p.backend_key();
-            let idx = keys.iter().position(|&e| e == k).unwrap_or_else(|| {
-                keys.push(k);
-                keys.len() - 1
-            });
-            key_of_point.push(idx);
-        }
-
-        // Compile (key × kernel) backends on the worker pool.
-        let t_backend = Instant::now();
-        let jobs_be = jobs.min(keys.len() * nk).max(1);
-        let backends: Vec<Vec<Backend>> = {
-            let reps: Vec<DsePoint> = keys
-                .iter()
-                .map(|k| {
-                    *points
-                        .iter()
-                        .find(|p| p.backend_key() == *k)
-                        .expect("key from points")
-                })
-                .collect();
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs_be)
-                    .map(|w| {
-                        let reps = &reps;
-                        scope.spawn(move || {
-                            (w..reps.len() * nk)
-                                .step_by(jobs_be)
-                                .map(|i| {
-                                    let (key, kernel) = (i / nk, i % nk);
-                                    let opts = self.kernel_options_for(&reps[key], kernel);
-                                    (i, self.pipeline.backend(&self.scheds[kernel], &opts))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            let mut flat = indexed.into_iter().map(|(_, b)| b);
-            (0..keys.len())
-                .map(|_| (0..nk).map(|_| flat.next().expect("backend")).collect())
-                .collect()
-        };
-        let backend_s = t_backend.elapsed().as_secs_f64();
-
-        // Fan the program system stage + chained simulation out.
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<DseOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let points = &points;
-                let key_of_point = &key_of_point;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<DseOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        local.push(self.evaluate_with_backends(
-                            &self.base.flow.platform,
-                            &points[i],
-                            &backends[key_of_point[i]],
-                            elements,
-                            started,
-                        ));
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+        let base = &self.base.flow;
+        let sweep = self.sweep(
+            &[(&base.platform, base.hls.clock_mhz)],
+            &points,
+            jobs,
+            elements,
+        );
+        let mut outcomes = sweep.outcomes;
         outcomes.sort_by(|a, b| {
             b.feasible
                 .cmp(&a.feasible)
@@ -1056,16 +685,16 @@ impl ProgramDseEngine {
         DseReport {
             evaluated: outcomes.len(),
             feasible,
-            jobs,
+            jobs: sweep.jobs,
             elements,
             wall_s: t.elapsed().as_secs_f64(),
             shared: self.shared,
             counts: self.pipeline.counters(),
             cache: self.pipeline.cache_counters(),
             oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
-            backend_compiles: keys.len() * nk,
-            backend_reuses: (points.len() - keys.len()) * nk,
-            backend_s,
+            backend_compiles: sweep.backend_compiles,
+            backend_reuses: sweep.backend_reuses,
+            backend_s: sweep.backend_s,
             eval_total_s,
             eval_mean_s: if outcomes.is_empty() {
                 0.0
@@ -1076,6 +705,69 @@ impl ProgramDseEngine {
             outcomes,
         }
     }
+
+    /// Build full [`Artifacts`] for one option combination on top of the
+    /// shared stages — the cheap replacement for `Flow::compile` when
+    /// only backend/system options differ from the engine's base (the
+    /// canonicalization and scheduler axes are taken from the base, not
+    /// from `opts`). One-kernel engines only.
+    pub fn artifacts_for(&self, opts: &FlowOptions) -> Result<Artifacts, FlowError> {
+        let [sc] = self.scheds.as_slice() else {
+            return Err(FlowError::Backend(format!(
+                "artifacts_for builds one kernel, but {} has {}: use ProgramFlow",
+                self.label,
+                self.scheds.len()
+            )));
+        };
+        let be = self.pipeline.backend(sc, opts);
+        let sys = self.pipeline.system(&be, opts)?;
+        let fe = crate::pipeline::Frontend {
+            typed: Arc::clone(&sc.middle.typed),
+            elapsed_s: self.shared.frontend_s,
+        };
+        Ok(Artifacts::assemble(&fe, sc, be, sys, opts))
+    }
+}
+
+/// What one [`DseEngine::sweep`] produced.
+struct Sweep {
+    /// One outcome per (target, point), target-major.
+    outcomes: Vec<DseOutcome>,
+    jobs: usize,
+    backend_compiles: usize,
+    backend_reuses: usize,
+    /// Wall-clock seconds spent compiling the memoized slots.
+    backend_s: f64,
+}
+
+/// `f(0), …, f(n - 1)` on up to `jobs` scoped workers pulling indices
+/// from a shared counter, each into its own buffer (no lock on the hot
+/// path). Results come back in index order, so the output is the same
+/// for every worker count.
+fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.min(n).max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break local;
+                        }
+                        local.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("DSE worker panicked"))
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, t)| t).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1142,144 +834,31 @@ pub struct PortfolioReport {
     pub oracle: polyhedra::OracleCounters,
 }
 
-/// Pareto flags over (minimize time, minimize utilization) for the
-/// feasible subset; infeasible entries are never on the frontier, and
-/// of several points with *identical* objectives only the first stays
-/// (ties would otherwise all survive and clutter the frontier).
-fn pareto_flags(objectives: &[Option<(f64, f64)>]) -> Vec<bool> {
-    let mut flags = vec![false; objectives.len()];
-    for i in 0..objectives.len() {
-        let Some((t, u)) = objectives[i] else {
-            continue;
-        };
-        let dominated = objectives.iter().enumerate().any(|(j, o)| match o {
-            Some((t2, u2)) => {
-                (*t2 <= t && *u2 <= u && (*t2 < t || *u2 < u)) || (j < i && *t2 == t && *u2 == u)
-            }
-            None => false,
-        });
-        flags[i] = !dominated;
-    }
-    flags
-}
-
-/// Three-objective Pareto flags (all minimized; callers negate
-/// maximization axes). Same tie rule as [`pareto_flags`]: of identical
-/// objective triples only the first survives.
-fn pareto_flags3(objectives: &[Option<(f64, f64, f64)>]) -> Vec<bool> {
-    let mut flags = vec![false; objectives.len()];
-    for i in 0..objectives.len() {
-        let Some((a, b, c)) = objectives[i] else {
-            continue;
-        };
-        let dominated = objectives.iter().enumerate().any(|(j, o)| match o {
-            Some((a2, b2, c2)) => {
-                (*a2 <= a && *b2 <= b && *c2 <= c && (*a2 < a || *b2 < b || *c2 < c))
-                    || (j < i && *a2 == a && *b2 == b && *c2 == c)
-            }
-            None => false,
-        });
-        flags[i] = !dominated;
-    }
-    flags
+/// Pareto flags over objective vectors, all minimized (callers negate
+/// maximization axes), for the feasible subset: infeasible (`None`)
+/// entries are never on the frontier, and of several points with
+/// *identical* objectives only the first stays (ties would otherwise all
+/// survive and clutter the frontier).
+fn pareto_flags<const N: usize>(objectives: &[Option<[f64; N]>]) -> Vec<bool> {
+    objectives
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            let Some(a) = o else {
+                return false;
+            };
+            !objectives.iter().enumerate().any(|(j, o2)| match o2 {
+                Some(b) => {
+                    (b.iter().zip(a).all(|(y, x)| y <= x) && b.iter().zip(a).any(|(y, x)| y < x))
+                        || (j < i && b == a)
+                }
+                None => false,
+            })
+        })
+        .collect()
 }
 
 impl PortfolioReport {
-    /// Rank, flag Pareto points per platform and summarize.
-    /// `backend_uses` is the total number of memoized-backend lookups
-    /// across all evaluations (one per kernel per combo), so
-    /// `reuses = uses - compiles` holds for programs too.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        platforms: &[Platform],
-        mut outcomes: Vec<PortfolioOutcome>,
-        jobs: usize,
-        elements: usize,
-        wall_s: f64,
-        backend_compiles: usize,
-        backend_uses: usize,
-        cache: CacheCounters,
-        oracle: polyhedra::OracleCounters,
-    ) -> PortfolioReport {
-        // Per-platform Pareto frontiers: the latency view over
-        // (total_s, utilization) and the service view over
-        // (requests/sec ↑, p99 ↓, utilization ↓).
-        for p in platforms {
-            let idx: Vec<usize> = (0..outcomes.len())
-                .filter(|&i| outcomes[i].platform == p.id)
-                .collect();
-            let objectives: Vec<Option<(f64, f64)>> = idx
-                .iter()
-                .map(|&i| {
-                    let o = &outcomes[i];
-                    o.outcome
-                        .feasible
-                        .then_some((o.outcome.total_s, o.utilization))
-                })
-                .collect();
-            for (&i, flag) in idx.iter().zip(pareto_flags(&objectives)) {
-                outcomes[i].pareto = flag;
-            }
-            let service: Vec<Option<(f64, f64, f64)>> = idx
-                .iter()
-                .map(|&i| {
-                    let o = &outcomes[i];
-                    o.outcome.feasible.then_some((
-                        -o.outcome.service_rps,
-                        o.outcome.service_p99_s,
-                        o.utilization,
-                    ))
-                })
-                .collect();
-            for (&i, flag) in idx.iter().zip(pareto_flags3(&service)) {
-                outcomes[i].service_pareto = flag;
-            }
-        }
-        outcomes.sort_by(|a, b| {
-            b.outcome
-                .feasible
-                .cmp(&a.outcome.feasible)
-                .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
-                .then(a.utilization.total_cmp(&b.utilization))
-                .then(a.platform.cmp(&b.platform))
-                .then(a.clock_mhz.total_cmp(&b.clock_mhz))
-                .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
-        });
-        let summaries: Vec<PlatformSummary> = platforms
-            .iter()
-            .map(|p| {
-                let of_p: Vec<&PortfolioOutcome> =
-                    outcomes.iter().filter(|o| o.platform == p.id).collect();
-                PlatformSummary {
-                    platform: p.id.clone(),
-                    board: p.board.name.clone(),
-                    evaluated: of_p.len(),
-                    feasible: of_p.iter().filter(|o| o.outcome.feasible).count(),
-                    pareto_points: of_p.iter().filter(|o| o.pareto).count(),
-                    best_total_s: of_p
-                        .iter()
-                        .filter(|o| o.outcome.feasible)
-                        .map(|o| o.outcome.total_s)
-                        .min_by(f64::total_cmp),
-                }
-            })
-            .collect();
-        let feasible = outcomes.iter().filter(|o| o.outcome.feasible).count();
-        PortfolioReport {
-            evaluated: outcomes.len(),
-            feasible,
-            jobs,
-            elements,
-            wall_s,
-            backend_compiles,
-            backend_reuses: backend_uses.saturating_sub(backend_compiles),
-            cache,
-            oracle,
-            summaries,
-            outcomes,
-        }
-    }
-
     /// The portfolio Pareto frontier: every platform's non-dominated
     /// (time, fit) points, best time first.
     pub fn pareto_frontier(&self) -> Vec<&PortfolioOutcome> {
@@ -1308,12 +887,12 @@ impl PortfolioReport {
     pub fn cost_frontier(&self) -> Vec<(&PortfolioOutcome, f64)> {
         let per_kluts =
             |o: &PortfolioOutcome| o.outcome.service_rps / (o.outcome.luts as f64 / 1000.0);
-        let objectives: Vec<Option<(f64, f64)>> = self
+        let objectives: Vec<Option<[f64; 2]>> = self
             .outcomes
             .iter()
             .map(|o| {
                 (o.outcome.feasible && o.outcome.luts > 0)
-                    .then(|| (-o.outcome.service_rps, -per_kluts(o)))
+                    .then(|| [-o.outcome.service_rps, -per_kluts(o)])
             })
             .collect();
         self.outcomes
@@ -1526,84 +1105,31 @@ impl PortfolioReport {
     }
 }
 
-/// A (platform index, clock) × grid cross product, flattened for the
-/// worker pool. `backend` indexes the memoized (clock, backend-key)
-/// compilation shared across platforms and `k`/`m`.
-#[derive(Debug, Clone, Copy)]
-struct ComboJob {
-    platform: usize,
-    clock_mhz: f64,
-    point: usize,
-    backend: usize,
-}
-
-/// Flatten platforms × clock ladders × grid points and assign each
-/// combo its memoized backend slot. Returns the jobs plus the unique
-/// (clock, key) list in first-seen order.
-fn portfolio_jobs(
-    platforms: &[Platform],
-    points: &[DsePoint],
-) -> (Vec<ComboJob>, Vec<(f64, BackendKey)>) {
-    let mut keys: Vec<(u64, BackendKey)> = Vec::new();
-    let mut jobs = Vec::new();
-    for (pi, platform) in platforms.iter().enumerate() {
-        for &clock in &platform.clock_ladder_mhz {
-            for (qi, point) in points.iter().enumerate() {
-                let key = (clock.to_bits(), point.backend_key());
-                let bi = keys.iter().position(|&e| e == key).unwrap_or_else(|| {
-                    keys.push(key);
-                    keys.len() - 1
-                });
-                jobs.push(ComboJob {
-                    platform: pi,
-                    clock_mhz: clock,
-                    point: qi,
-                    backend: bi,
-                });
-            }
-        }
+/// Largest resource-utilization fraction of a feasible outcome against a
+/// platform's board (0 when infeasible).
+fn outcome_utilization(platform: &Platform, o: &DseOutcome) -> f64 {
+    if !o.feasible {
+        return 0.0;
     }
-    let keys = keys
-        .into_iter()
-        .map(|(bits, k)| (f64::from_bits(bits), k))
-        .collect();
-    (jobs, keys)
-}
-
-fn resolve_jobs(jobs: usize, len: usize) -> usize {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    jobs.min(len.max(1))
+    let b = &platform.board;
+    [
+        o.luts as f64 / b.luts as f64,
+        o.ffs as f64 / b.ffs as f64,
+        o.dsps as f64 / b.dsps as f64,
+        o.brams as f64 / b.brams as f64,
+    ]
+    .into_iter()
+    .fold(0.0, f64::max)
 }
 
 impl DseEngine {
-    /// Utilization of a feasible outcome against a platform's board.
-    fn outcome_utilization(platform: &Platform, o: &DseOutcome) -> f64 {
-        if !o.feasible {
-            return 0.0;
-        }
-        let b = &platform.board;
-        [
-            o.luts as f64 / b.luts as f64,
-            o.ffs as f64 / b.ffs as f64,
-            o.dsps as f64 / b.dsps as f64,
-            o.brams as f64 / b.brams as f64,
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
-    }
-
     /// Sweep the **platform × clock × (k, m, sharing, decoupling,
     /// partition)** cross product: the multi-board portfolio view.
-    /// Frontend, middle end and scheduling stay compiled once (from
-    /// [`DseEngine::prepare`]); backends are memoized per **(clock,
-    /// backend key)** — a backend compiled at 200 MHz is reused across
-    /// every platform whose ladder contains 200 MHz and every `k`/`m`.
+    /// The shared stages stay compiled once (from
+    /// [`DseEngine::prepare_program`]); backends are memoized per
+    /// **(clock, backend key)** — a backend compiled at 200 MHz is reused
+    /// across every platform whose ladder contains 200 MHz and every
+    /// `k`/`m`.
     pub fn run_portfolio(
         &self,
         platforms: &[Platform],
@@ -1612,230 +1138,106 @@ impl DseEngine {
         elements: usize,
     ) -> PortfolioReport {
         let points = grid.points();
-        let (combos, keys) = portfolio_jobs(platforms, &points);
-        let jobs = resolve_jobs(jobs, combos.len());
         let oracle_base = polyhedra::OracleCounters::snapshot();
         let t = Instant::now();
-
-        // Compile the unique (clock, backend-key) backends in parallel.
-        let key_opts: Vec<FlowOptions> = keys
+        let targets: Vec<(&Platform, f64)> = platforms
             .iter()
-            .map(|&(clock, key)| {
-                let rep = points
-                    .iter()
-                    .find(|p| p.backend_key() == key)
-                    .expect("key from points");
-                let mut opts = self.options_for(rep);
-                opts.hls.clock_mhz = clock;
-                opts
+            .flat_map(|p| p.clock_ladder_mhz.iter().map(move |&c| (p, c)))
+            .collect();
+        let sweep = self.sweep(&targets, &points, jobs, elements);
+        let mut outcomes: Vec<PortfolioOutcome> = sweep
+            .outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, outcome)| {
+                let (platform, clock_mhz) = targets[i / points.len()];
+                PortfolioOutcome {
+                    platform: platform.id.clone(),
+                    board: platform.board.name.clone(),
+                    clock_mhz,
+                    utilization: outcome_utilization(platform, &outcome),
+                    outcome,
+                    pareto: false,
+                    service_pareto: false,
+                }
             })
             .collect();
-        let backends: Vec<Backend> = {
-            let workers = jobs.min(keys.len()).max(1);
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let key_opts = &key_opts;
-                        scope.spawn(move || {
-                            (w..key_opts.len())
-                                .step_by(workers)
-                                .map(|i| (i, self.pipeline.backend(&self.scheduled, &key_opts[i])))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, be)| be).collect()
-        };
-
-        // Fan the per-combo system stage + simulation out.
-        let next = AtomicUsize::new(0);
-        let outcomes: Vec<PortfolioOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let combos = &combos;
-                let points = &points;
-                let key_opts = &key_opts;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<PortfolioOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= combos.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let job = combos[i];
-                        let platform = &platforms[job.platform];
-                        let mut opts = key_opts[job.backend].clone();
-                        opts.platform = platform.clone();
-                        opts.system = Some(SystemConfig {
-                            k: points[job.point].k,
-                            m: points[job.point].m,
-                        });
-                        let outcome = self.evaluate_with_backend(
-                            &points[job.point],
-                            &opts,
-                            &backends[job.backend],
-                            elements,
-                            started,
-                        );
-                        let utilization = DseEngine::outcome_utilization(platform, &outcome);
-                        local.push(PortfolioOutcome {
-                            platform: platform.id.clone(),
-                            board: platform.board.name.clone(),
-                            clock_mhz: job.clock_mhz,
-                            outcome,
-                            utilization,
-                            pareto: false,
-                            service_pareto: false,
-                        });
-                    }
-                }));
+        // Per-platform Pareto frontiers: the latency view over
+        // (total_s, utilization) and the service view over
+        // (requests/sec ↑, p99 ↓, utilization ↓).
+        for p in platforms {
+            let idx: Vec<usize> = (0..outcomes.len())
+                .filter(|&i| outcomes[i].platform == p.id)
+                .collect();
+            let objectives: Vec<Option<[f64; 2]>> = idx
+                .iter()
+                .map(|&i| {
+                    let o = &outcomes[i];
+                    o.outcome
+                        .feasible
+                        .then_some([o.outcome.total_s, o.utilization])
+                })
+                .collect();
+            for (&i, flag) in idx.iter().zip(pareto_flags(&objectives)) {
+                outcomes[i].pareto = flag;
             }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
+            let service: Vec<Option<[f64; 3]>> = idx
+                .iter()
+                .map(|&i| {
+                    let o = &outcomes[i];
+                    o.outcome.feasible.then_some([
+                        -o.outcome.service_rps,
+                        o.outcome.service_p99_s,
+                        o.utilization,
+                    ])
+                })
+                .collect();
+            for (&i, flag) in idx.iter().zip(pareto_flags(&service)) {
+                outcomes[i].service_pareto = flag;
+            }
+        }
+        outcomes.sort_by(|a, b| {
+            b.outcome
+                .feasible
+                .cmp(&a.outcome.feasible)
+                .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
+                .then(a.utilization.total_cmp(&b.utilization))
+                .then(a.platform.cmp(&b.platform))
+                .then(a.clock_mhz.total_cmp(&b.clock_mhz))
+                .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
         });
-        let uses = outcomes.len();
-        PortfolioReport::assemble(
-            platforms,
-            outcomes,
-            jobs,
-            elements,
-            t.elapsed().as_secs_f64(),
-            keys.len(),
-            uses,
-            self.pipeline.cache_counters(),
-            polyhedra::OracleCounters::snapshot().since(oracle_base),
-        )
-    }
-}
-
-impl ProgramDseEngine {
-    /// The portfolio sweep for a multi-kernel program: platform × clock
-    /// × joint grid points, with backends memoized per **(kernel,
-    /// clock, backend key)**.
-    pub fn run_portfolio(
-        &self,
-        platforms: &[Platform],
-        grid: &DseGrid,
-        jobs: usize,
-        elements: usize,
-    ) -> PortfolioReport {
-        let points = grid.points();
-        let nk = self.scheds.len();
-        let (combos, keys) = portfolio_jobs(platforms, &points);
-        let jobs = resolve_jobs(jobs, combos.len());
-        let oracle_base = polyhedra::OracleCounters::snapshot();
-        let t = Instant::now();
-
-        // Compile (clock, key) × kernel backends on the worker pool.
-        let reps: Vec<(f64, DsePoint)> = keys
+        let summaries: Vec<PlatformSummary> = platforms
             .iter()
-            .map(|&(clock, key)| {
-                (
-                    clock,
-                    *points
+            .map(|p| {
+                let of_p: Vec<&PortfolioOutcome> =
+                    outcomes.iter().filter(|o| o.platform == p.id).collect();
+                PlatformSummary {
+                    platform: p.id.clone(),
+                    board: p.board.name.clone(),
+                    evaluated: of_p.len(),
+                    feasible: of_p.iter().filter(|o| o.outcome.feasible).count(),
+                    pareto_points: of_p.iter().filter(|o| o.pareto).count(),
+                    best_total_s: of_p
                         .iter()
-                        .find(|p| p.backend_key() == key)
-                        .expect("key from points"),
-                )
+                        .filter(|o| o.outcome.feasible)
+                        .map(|o| o.outcome.total_s)
+                        .min_by(f64::total_cmp),
+                }
             })
             .collect();
-        let jobs_be = jobs.min(keys.len() * nk).max(1);
-        let backends: Vec<Vec<Backend>> = {
-            let mut indexed: Vec<(usize, Backend)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs_be)
-                    .map(|w| {
-                        let reps = &reps;
-                        scope.spawn(move || {
-                            (w..reps.len() * nk)
-                                .step_by(jobs_be)
-                                .map(|i| {
-                                    let (key, kernel) = (i / nk, i % nk);
-                                    let (clock, rep) = &reps[key];
-                                    let mut opts = self.kernel_options_for(rep, kernel);
-                                    opts.hls.clock_mhz = *clock;
-                                    (i, self.pipeline.backend(&self.scheds[kernel], &opts))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("backend worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            let mut flat = indexed.into_iter().map(|(_, b)| b);
-            (0..keys.len())
-                .map(|_| (0..nk).map(|_| flat.next().expect("backend")).collect())
-                .collect()
-        };
-
-        let next = AtomicUsize::new(0);
-        let outcomes: Vec<PortfolioOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let next = &next;
-                let combos = &combos;
-                let points = &points;
-                let backends = &backends;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<PortfolioOutcome> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= combos.len() {
-                            break local;
-                        }
-                        let started = Instant::now();
-                        let job = combos[i];
-                        let platform = &platforms[job.platform];
-                        let outcome = self.evaluate_with_backends(
-                            platform,
-                            &points[job.point],
-                            &backends[job.backend],
-                            elements,
-                            started,
-                        );
-                        let utilization = DseEngine::outcome_utilization(platform, &outcome);
-                        local.push(PortfolioOutcome {
-                            platform: platform.id.clone(),
-                            board: platform.board.name.clone(),
-                            clock_mhz: job.clock_mhz,
-                            outcome,
-                            utilization,
-                            pareto: false,
-                            service_pareto: false,
-                        });
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let uses = outcomes.len() * nk;
-        PortfolioReport::assemble(
-            platforms,
-            outcomes,
-            jobs,
+        let feasible = outcomes.iter().filter(|o| o.outcome.feasible).count();
+        PortfolioReport {
+            evaluated: outcomes.len(),
+            feasible,
+            jobs: sweep.jobs,
             elements,
-            t.elapsed().as_secs_f64(),
-            keys.len() * nk,
-            uses,
-            self.pipeline.cache_counters(),
-            polyhedra::OracleCounters::snapshot().since(oracle_base),
-        )
+            wall_s: t.elapsed().as_secs_f64(),
+            backend_compiles: sweep.backend_compiles,
+            backend_reuses: sweep.backend_reuses,
+            cache: self.pipeline.cache_counters(),
+            oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
+            summaries,
+            outcomes,
+        }
     }
 }

@@ -18,8 +18,9 @@
 //! Each stage is individually runnable, its products are immutable and
 //! `Arc`-shared, and per-stage wall-clock timings and invocation counts
 //! are recorded. [`Flow::compile`] is a thin composition of the five
-//! stages; the [`dse`] engine reuses the first three across a whole
-//! configuration grid and fans the rest out over worker threads.
+//! stages; the [`dse`] engine reuses the first three (per kernel, for
+//! sources of any kernel count) across a whole configuration grid and
+//! fans the rest out over worker threads.
 //!
 //! # Quick start
 //!

@@ -232,8 +232,9 @@ fn generate_requests(
 /// The shared program-level products derived from per-kernel backends:
 /// merged PLM plan, synthesized shared memory, stage-labelled HLS
 /// reports and the host byte interface. Both [`Pipeline::run_program`]
-/// and the joint DSE engine build systems from this one struct, so
-/// sweep costs can never diverge from what `ProgramFlow` produces.
+/// and the [`DseEngine`](crate::dse::DseEngine) build systems from this
+/// one struct, so sweep costs can never diverge from what `ProgramFlow`
+/// produces.
 #[derive(Debug, Clone)]
 pub(crate) struct ProgramBuild {
     pub plan: ProgramMemoryPlan,
@@ -471,7 +472,7 @@ impl Pipeline {
     }
 
     /// Program memory + system construction from already-compiled
-    /// per-kernel stage products (the joint-DSE entry point).
+    /// per-kernel stage products.
     pub(crate) fn finish_program(
         &self,
         opts: &ProgramOptions,
@@ -486,7 +487,7 @@ impl Pipeline {
         let cross = Arc::clone(&link.cross);
 
         // Program memory + stage reports + host byte interface (shared
-        // with the joint DSE engine).
+        // with the DSE engine).
         let brefs: Vec<&Backend> = backends.iter().collect();
         let build = ProgramBuild::prepare(
             &names,

@@ -22,8 +22,8 @@
 
 use std::path::PathBuf;
 
-use cfd_core::dse::{DseEngine, DseGrid, DseOutcome, DseReport, PortfolioReport, ProgramDseEngine};
-use cfd_core::{FlowOptions, ProgramOptions};
+use cfd_core::dse::{DseEngine, DseGrid, DseOutcome, DseReport, PortfolioReport};
+use cfd_core::FlowOptions;
 use cfdlang::examples;
 use sysgen::Platform;
 
@@ -76,24 +76,13 @@ fn cases() -> Vec<(&'static str, String, DseGrid)> {
 }
 
 fn run(src: &str, grid: &DseGrid, jobs: usize) -> DseReport {
-    if cfdlang::parse_set(src).unwrap().is_multi() {
-        let engine = ProgramDseEngine::prepare(src, &ProgramOptions::default()).unwrap();
-        engine.run(grid, jobs, ELEMENTS)
-    } else {
-        let engine = DseEngine::prepare(src, &FlowOptions::default()).unwrap();
-        engine.run(grid, jobs, ELEMENTS)
-    }
+    let engine = DseEngine::prepare(src, &FlowOptions::default()).unwrap();
+    engine.run(grid, jobs, ELEMENTS)
 }
 
 fn run_portfolio(src: &str, grid: &DseGrid, jobs: usize) -> PortfolioReport {
-    let catalog = Platform::catalog();
-    if cfdlang::parse_set(src).unwrap().is_multi() {
-        let engine = ProgramDseEngine::prepare(src, &ProgramOptions::default()).unwrap();
-        engine.run_portfolio(&catalog, grid, jobs, ELEMENTS)
-    } else {
-        let engine = DseEngine::prepare(src, &FlowOptions::default()).unwrap();
-        engine.run_portfolio(&catalog, grid, jobs, ELEMENTS)
-    }
+    let engine = DseEngine::prepare(src, &FlowOptions::default()).unwrap();
+    engine.run_portfolio(&Platform::catalog(), grid, jobs, ELEMENTS)
 }
 
 /// Column legend of an outcome row.
@@ -184,9 +173,8 @@ fn run_reports_match_the_golden_fixture() {
     check("dse_run.txt", &out);
 }
 
-/// A portfolio in fixture form. With `flags` off the Pareto flags are
-/// masked out of every row (their per-platform counts stay).
-fn portfolio_record(r: &PortfolioReport, flags: bool) -> String {
+/// A portfolio in fixture form.
+fn portfolio_record(r: &PortfolioReport) -> String {
     let mut out = format!(
         "evaluated {} feasible {} backend_compiles {} backend_reuses {}\n",
         r.evaluated, r.feasible, r.backend_compiles, r.backend_reuses
@@ -205,22 +193,19 @@ fn portfolio_record(r: &PortfolioReport, flags: bool) -> String {
     }
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for o in &r.outcomes {
-        let (pareto, service) = if flags {
-            (u8::from(o.pareto), u8::from(o.service_pareto))
-        } else {
-            (0, 0)
-        };
         let line = format!(
-            "{} {} {:016x} {} {:016x} {pareto} {service}",
+            "{} {} {:016x} {} {:016x} {} {}",
             o.platform,
             o.board,
             o.clock_mhz.to_bits(),
             row(&o.outcome),
             o.utilization.to_bits(),
+            u8::from(o.pareto),
+            u8::from(o.service_pareto),
         );
         fnv1a(&mut h, line.as_bytes());
         fnv1a(&mut h, b"\n");
-        if flags && (o.pareto || o.service_pareto) {
+        if o.pareto || o.service_pareto {
             out.push_str(&format!("frontier {line}\n"));
         }
     }
@@ -228,11 +213,9 @@ fn portfolio_record(r: &PortfolioReport, flags: bool) -> String {
     out
 }
 
-/// The fixture holds the serial sweeps. A two-worker sweep must give
-/// the same rows, counters and summaries. Of several points with
-/// identical objectives only the first in collection order is flagged
-/// Pareto, and two workers collect in a racy order, so the flags
-/// themselves are compared with the flags masked.
+/// The fixture holds the serial sweeps; a two-worker sweep must give
+/// the same record, Pareto flags included (of several points with
+/// identical objectives only the first in sweep order is flagged).
 #[test]
 fn portfolio_reports_match_the_golden_fixture() {
     let mut out = format!(
@@ -243,12 +226,12 @@ fn portfolio_reports_match_the_golden_fixture() {
         let parallel = run_portfolio(&src, &grid, 2);
         assert_eq!((serial.jobs, parallel.jobs), (1, 2));
         assert_eq!(
-            portfolio_record(&parallel, false),
-            portfolio_record(&serial, false),
+            portfolio_record(&parallel),
+            portfolio_record(&serial),
             "{label}: jobs=2 differs from jobs=1"
         );
         out.push_str(&format!("== {label}\n"));
-        out.push_str(&portfolio_record(&serial, true));
+        out.push_str(&portfolio_record(&serial));
     }
     check("dse_portfolio.txt", &out);
 }

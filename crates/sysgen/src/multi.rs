@@ -199,39 +199,6 @@ impl MultiSystemDesign {
         })
     }
 
-    /// View a single-kernel design as the equivalent one-stage program
-    /// system: same replication, same resource totals, same external
-    /// byte interface, no handoffs. This is how the single-kernel flow
-    /// plugs into program-level consumers (the batch-stream runtime, the
-    /// service-throughput DSE objective).
-    pub fn from_single(d: &crate::system::SystemDesign) -> MultiSystemDesign {
-        let cfg = ProgramSystemConfig {
-            ks: vec![d.config.k],
-            m: d.config.m,
-        };
-        MultiSystemDesign {
-            config: cfg.clone(),
-            platform: d.platform.clone(),
-            stages: vec![StageDesign {
-                name: d.kernel.kernel.clone(),
-                k: d.config.k,
-                kernel: d.kernel.clone(),
-            }],
-            memory: d.memory.clone(),
-            luts: d.luts,
-            ffs: d.ffs,
-            dsps: d.dsps,
-            brams: d.brams,
-            host: ProgramHostProgram {
-                stage_names: vec![d.kernel.kernel.clone()],
-                config: cfg,
-                bytes_in_per_element: d.host.bytes_in_per_element,
-                bytes_out_per_element: d.host.bytes_out_per_element,
-                handoff_bytes_per_element: 0,
-            },
-        }
-    }
-
     /// The board budget the design fits.
     pub fn board(&self) -> &BoardSpec {
         &self.platform.board
@@ -477,31 +444,6 @@ mod tests {
         assert!((d.chain_exec_seconds() - want).abs() < 1e-12);
         let (l, f, ds, br) = d.slack();
         assert!(l >= 0 && f >= 0 && ds >= 0 && br >= 0);
-    }
-
-    #[test]
-    fn from_single_preserves_totals_and_interface() {
-        let platform = Platform::zcu106();
-        let hlsr = report(500_000, 2_314);
-        let mem = memory();
-        let cfg = SystemConfig { k: 2, m: 4 };
-        let host = HostProgram {
-            config: cfg,
-            bytes_in_per_element: 800,
-            bytes_out_per_element: 400,
-        };
-        let d = SystemDesign::build(&platform, &hlsr, &mem, cfg, host).unwrap();
-        let m = MultiSystemDesign::from_single(&d);
-        assert_eq!(
-            (m.luts, m.ffs, m.dsps, m.brams),
-            (d.luts, d.ffs, d.dsps, d.brams)
-        );
-        assert_eq!(m.config.ks, vec![2]);
-        assert_eq!(m.config.m, 4);
-        assert_eq!(m.host.bytes_in_per_element, 800);
-        assert_eq!(m.host.bytes_out_per_element, 400);
-        assert_eq!(m.host.handoff_bytes_per_element, 0);
-        assert_eq!(m.stages.len(), 1);
     }
 
     #[test]

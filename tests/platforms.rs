@@ -202,9 +202,9 @@ fn portfolio_sweep_spans_platforms_and_matches_single_board() {
 /// boards.
 #[test]
 fn program_portfolio_sweeps_the_catalog() {
-    use cfdfpga::flow::dse::{DseGrid, ProgramDseEngine};
+    use cfdfpga::flow::dse::DseGrid;
     let src = cfdfpga::cfdlang::examples::axpy_chain(4);
-    let engine = ProgramDseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+    let engine = DseEngine::prepare_program(&src, &ProgramOptions::default()).unwrap();
     let grid = DseGrid {
         k: vec![1, 4],
         batch: vec![1],

@@ -5,7 +5,7 @@
 //! shared system: cross-kernel PLM co-location under one BRAM budget,
 //! one multi-accelerator design, and chained end-to-end simulation.
 
-use cfdfpga::flow::dse::{DseGrid, ProgramDseEngine};
+use cfdfpga::flow::dse::{DseEngine, DseGrid};
 use cfdfpga::flow::program::{ProgramFlow, ProgramOptions};
 use cfdfpga::flow::{Flow, FlowOptions};
 use cfdfpga::sysgen::ProgramSystemConfig;
@@ -147,7 +147,7 @@ fn simulation_step_single_system_with_cross_sharing() {
 #[test]
 fn joint_program_sweep_memoizes_per_kernel_backends() {
     let src = cfdfpga::cfdlang::examples::simulation_step(4);
-    let engine = ProgramDseEngine::prepare(&src, &ProgramOptions::default()).unwrap();
+    let engine = DseEngine::prepare_program(&src, &ProgramOptions::default()).unwrap();
     let report = engine.run(&DseGrid::default(), 4, 1_000);
     assert_eq!(report.evaluated, 32);
     let c = report.counts;
