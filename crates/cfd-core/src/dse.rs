@@ -231,7 +231,7 @@ pub struct DseReport {
     pub shared: StageTimings,
     /// Stage-invocation counters after the sweep.
     pub counts: StageCounts,
-    /// Compile-cache counters (all zero for an uncached engine).
+    /// Compile-cache counters (zero: the engine compiles uncached).
     pub cache: CacheCounters,
     /// Polyhedra-oracle counters accumulated over the sweep (delta of
     /// the process totals across `run`).
@@ -476,11 +476,6 @@ impl DseEngine {
     /// one-kernel program).
     pub fn scheduled(&self) -> &Scheduled {
         &self.scheds[0]
-    }
-
-    /// Wall-clock cost of the shared stages.
-    pub fn shared_timings(&self) -> StageTimings {
-        self.shared
     }
 
     /// Kernel `kernel`'s backend options for one point.
@@ -828,7 +823,7 @@ pub struct PortfolioReport {
     pub backend_compiles: usize,
     /// Evaluations that reused a memoized backend.
     pub backend_reuses: usize,
-    /// Compile-cache counters (all zero for an uncached engine).
+    /// Compile-cache counters (zero: the engine compiles uncached).
     pub cache: CacheCounters,
     /// Polyhedra-oracle counters accumulated over the sweep.
     pub oracle: polyhedra::OracleCounters,
