@@ -38,9 +38,11 @@
 //!                        # >25% after drift correction fails
 //! ```
 
+use cfd_core::pipeline::{write_cache, write_oracle};
 use cfd_core::program::{ProgramFlow, ProgramOptions};
 use cfd_core::{CompileCache, FleetBoard, FleetOptions, FlowOptions, RoutePolicy};
 use pschedule::{Dependences, KernelModel, Liveness, SchedulerOptions};
+use runtime::json;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -884,180 +886,158 @@ fn main() {
     );
 
     // --- Emit JSON.
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cfdfpga-bench-v1\",\n");
-    s.push_str("  \"pr\": 10,\n");
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str("  \"benches\": [\n");
-    for (i, (name, ns, n)) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"median_ns\": {ns}, \"samples\": {n}}}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"dse\": {{\"points\": {}, \"feasible\": {}, \"backend_compiles\": {}, \
-         \"backend_reuses\": {}, \"backend_compile_s\": {:.6}, \"eval_total_s\": {:.6}, \
-         \"eval_mean_s\": {:.6}, \"eval_max_s\": {:.6}, \"wall_s\": {:.6}}},\n",
-        report.evaluated,
-        report.feasible,
-        report.backend_compiles,
-        report.backend_reuses,
-        report.backend_s,
-        report.eval_total_s,
-        report.eval_mean_s,
-        report.eval_max_s,
-        report.wall_s,
-    ));
-    s.push_str(&format!(
-        "  \"program\": {{\"kernels\": 3, \"plm_brams_shared\": {}, \"plm_brams_concat\": {}}},\n",
-        program_brams.0, program_brams.1
-    ));
-    // Compile-cache acceptance figures: cold / warm / disk-warm program
-    // compile medians, speedups vs the frozen PR-5 cold compile
-    // (asserted above: >= 2x cold, >= 10x warm), and the in-memory
-    // cache's cumulative counters from the warm runs.
-    s.push_str(&format!(
-        "  \"compile_cache\": {{\"cold_ns\": {cold_ns}, \"warm_ns\": {warm_ns}, \
-         \"disk_warm_ns\": {disk_warm_ns}, \"cold_speedup_vs_pr5\": {cold_x:.3}, \
-         \"warm_speedup_vs_pr5\": {warm_x:.3}, \"disk_warm_speedup_vs_cold\": {disk_warm_x:.3}, \
-         \"hits\": {}, \"disk_hits\": {}, \
-         \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-        cache_counters.hits,
-        cache_counters.disk_hits,
-        cache_counters.misses,
-        cache_counters.stores,
-        cache_counters.invalidations,
-    ));
-    // Serving acceptance figures: batched vs sequential requests/sec on
-    // the zcu106 (>= 2x asserted above), p99, overlap, and the PR-7
-    // fault-tolerance figure (goodput >= 0.8x fault-free asserted
-    // above).
-    s.push_str(&format!(
-        "  \"runtime\": {{\"requests\": 64, \"board\": \"zcu106\", \"batched_rps\": {:.3}, \
-         \"sequential_rps\": {:.3}, \"speedup\": {:.3}, \"p99_s\": {:.6}, \
-         \"rounds\": {}, \"capacity\": {}, \
-         \"double_buffered\": {{\"ks\": {}, \"m\": {}, \"rps\": {:.3}, \"overlap_fraction\": {:.4}}}, \
-         \"faulty\": {{\"plan\": \"{}\", \"goodput_rps\": {:.3}, \"goodput_ratio\": {:.4}, \
-         \"completed\": {}, \"retried\": {}, \"failed\": {}, \"transient_faults\": {}}}}},\n",
-        batched.throughput_rps,
-        sequential.throughput_rps,
-        serve_speedup,
-        batched.latency_p99_s,
-        batched.rounds,
-        batched.capacity,
-        overlapped.capacity / 2,
-        overlapped.capacity,
-        overlapped.throughput_rps,
-        overlapped.overlap_fraction,
-        faulty.fault_plan,
-        faulty.goodput_rps.unwrap_or(0.0),
-        goodput_ratio,
-        faulty.completed,
-        faulty.retried,
-        faulty.failed,
-        faulty.transient_faults,
-    ));
-    // Online-serving acceptance figures: SLO-aware adaptive batching vs
-    // capacity-fill FIFO at the same Poisson overload point (the p99
-    // improvement is asserted above before anything is written).
-    s.push_str(&format!(
-        "  \"online\": {{\"requests\": 64, \"offered_rps\": {:.3}, \"slo_s\": {:.6}, \
-         \"fifo_p99_completed_s\": {:.6}, \"slo_p99_completed_s\": {:.6}, \
-         \"p99_improvement\": {:.3}, \"slo_completed\": {}, \"slo_timed_out\": {}, \
-         \"slo_shed\": {}, \"early_closed_rounds\": {}}},\n",
-        overload_rps,
-        slo_s,
-        fifo_p99,
-        slo_p99,
-        fifo_p99 / slo_p99,
-        online_slo.completed,
-        online_slo.timed_out,
-        online_slo.shed,
-        online_slo.early_closed_rounds,
-    ));
-    // Fleet acceptance figures: the serve64 backlog across the board
-    // catalog under predictive routing (>= 3x single-board asserted
-    // above), with the per-board utilization / cost-efficiency split.
-    s.push_str(&format!(
-        "  \"fleet\": {{\"route\": \"{}\", \"boards\": {}, \"requests\": {}, \
-         \"aggregate_rps\": {:.3}, \"goodput_rps\": {:.3}, \"speedup_vs_single\": {:.3}, \
-         \"p99_s\": {:.6}, \"requeued\": {}, \"per_board\": [",
-        fleet.route.label(),
-        fleet.boards.len(),
-        fleet.requests,
-        fleet.aggregate_rps,
-        fleet.goodput_rps.unwrap_or(0.0),
-        fleet_speedup,
-        fleet.latency_p99_s,
-        fleet.requeued,
-    ));
-    for (i, b) in fleet.boards.iter().enumerate() {
-        s.push_str(&format!(
-            "{{\"name\": \"{}\", \"assigned\": {}, \"utilization\": {:.4}, \
-             \"rps_per_kluts\": {:.3}}}{}",
-            b.name,
-            b.assigned,
-            b.utilization,
-            b.rps_per_kluts,
-            if i + 1 == fleet.boards.len() {
-                ""
-            } else {
-                ", "
-            }
-        ));
-    }
-    s.push_str("]},\n");
-    // Per-platform portfolio figures for the paper kernel.
-    s.push_str("  \"platforms\": [\n");
-    for (i, (id, clock, k, luts, brams, total_s)) in platform_rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"platform\": \"{id}\", \"clock_mhz\": {clock:.1}, \"max_k\": {k}, \
-             \"luts\": {luts}, \"brams\": {brams}, \"total_s_4000\": {total_s:.6}, \
-             \"feasible\": {}}}{}\n",
-            *k > 0,
-            if i + 1 == platform_rows.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"portfolio\": {{\"evaluated\": {}, \"feasible\": {}, \"backend_compiles\": {}, \
-         \"backend_reuses\": {}, \"pareto_points\": {}, \"platforms_spanned\": {}, \
-         \"dense_evaluated\": {}, \"dense_feasible\": {}, \"dense_wall_ns\": {dense_ns}}},\n",
-        portfolio.evaluated,
-        portfolio.feasible,
-        portfolio.backend_compiles,
-        portfolio.backend_reuses,
-        portfolio.pareto_frontier().len(),
-        portfolio.feasible_platforms().len(),
-        dense.evaluated,
-        dense.feasible,
-    ));
-    // Feasibility-oracle counters accumulated over the entire bench run
-    // (same schema as `cfdc --json` and the DSE/portfolio reports):
-    // layered quick exits, verdict-memo traffic, simplex calls and FM
-    // fallbacks, projection-memo traffic.
-    s.push_str(&format!(
-        "  \"polyhedra\": {},\n",
-        polyhedra::OracleCounters::snapshot().json()
-    ));
     // Freeze the PR-9 medians from the committed file so the
     // before/after comparison travels with this one.
     let baseline_pr9 = read_bench_medians("BENCH_pr9.json");
-    s.push_str("  \"baseline_pr9\": {\n");
-    for (i, (name, ns)) in baseline_pr9.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{name}\": {ns}{}\n",
-            if i + 1 == baseline_pr9.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
+    let s = json::document(|w| {
+        w.string("schema", "cfdfpga-bench-v1")
+            .field("pr", 10u32)
+            .field("samples", samples);
+        w.array_lines("benches", |w| {
+            for (name, ns, n) in &rows {
+                w.row(|w| {
+                    w.string("name", name)
+                        .field("median_ns", *ns)
+                        .field("samples", *n);
+                });
+            }
+        });
+        w.object("dse", |w| {
+            w.field("points", report.evaluated)
+                .field("feasible", report.feasible)
+                .field("backend_compiles", report.backend_compiles)
+                .field("backend_reuses", report.backend_reuses)
+                .fixed("backend_compile_s", report.backend_s, 6)
+                .fixed("eval_total_s", report.eval_total_s, 6)
+                .fixed("eval_mean_s", report.eval_mean_s, 6)
+                .fixed("eval_max_s", report.eval_max_s, 6)
+                .fixed("wall_s", report.wall_s, 6);
+        });
+        w.object("program", |w| {
+            w.field("kernels", 3u32)
+                .field("plm_brams_shared", program_brams.0)
+                .field("plm_brams_concat", program_brams.1);
+        });
+        // Compile-cache acceptance figures: cold / warm / disk-warm
+        // program compile medians, speedups vs the frozen PR-5 cold
+        // compile (asserted above: >= 2x cold, >= 10x warm), and the
+        // in-memory cache's cumulative counters from the warm runs.
+        w.object("compile_cache", |w| {
+            w.field("cold_ns", cold_ns)
+                .field("warm_ns", warm_ns)
+                .field("disk_warm_ns", disk_warm_ns)
+                .fixed("cold_speedup_vs_pr5", cold_x, 3)
+                .fixed("warm_speedup_vs_pr5", warm_x, 3)
+                .fixed("disk_warm_speedup_vs_cold", disk_warm_x, 3);
+            write_cache(w, &cache_counters);
+        });
+        // Serving acceptance figures: batched vs sequential
+        // requests/sec on the zcu106 (>= 2x asserted above), p99,
+        // overlap, and the PR-7 fault-tolerance figure (goodput >= 0.8x
+        // fault-free asserted above).
+        w.object("runtime", |w| {
+            w.field("requests", 64u32)
+                .string("board", "zcu106")
+                .fixed("batched_rps", batched.throughput_rps, 3)
+                .fixed("sequential_rps", sequential.throughput_rps, 3)
+                .fixed("speedup", serve_speedup, 3)
+                .fixed("p99_s", batched.latency_p99_s, 6)
+                .field("rounds", batched.rounds)
+                .field("capacity", batched.capacity);
+            w.object("double_buffered", |w| {
+                w.field("ks", overlapped.capacity / 2)
+                    .field("m", overlapped.capacity)
+                    .fixed("rps", overlapped.throughput_rps, 3)
+                    .fixed("overlap_fraction", overlapped.overlap_fraction, 4);
+            });
+            w.object("faulty", |w| {
+                w.string("plan", &faulty.fault_plan)
+                    .fixed("goodput_rps", faulty.goodput_rps.unwrap_or(0.0), 3)
+                    .fixed("goodput_ratio", goodput_ratio, 4)
+                    .field("completed", faulty.completed)
+                    .field("retried", faulty.retried)
+                    .field("failed", faulty.failed)
+                    .field("transient_faults", faulty.transient_faults);
+            });
+        });
+        // Online-serving acceptance figures: SLO-aware adaptive
+        // batching vs capacity-fill FIFO at the same Poisson overload
+        // point (the p99 improvement is asserted above before anything
+        // is written).
+        w.object("online", |w| {
+            w.field("requests", 64u32)
+                .fixed("offered_rps", overload_rps, 3)
+                .fixed("slo_s", slo_s, 6)
+                .fixed("fifo_p99_completed_s", fifo_p99, 6)
+                .fixed("slo_p99_completed_s", slo_p99, 6)
+                .fixed("p99_improvement", fifo_p99 / slo_p99, 3)
+                .field("slo_completed", online_slo.completed)
+                .field("slo_timed_out", online_slo.timed_out)
+                .field("slo_shed", online_slo.shed)
+                .field("early_closed_rounds", online_slo.early_closed_rounds);
+        });
+        // Fleet acceptance figures: the serve64 backlog across the
+        // board catalog under predictive routing (>= 3x single-board
+        // asserted above), with the per-board utilization /
+        // cost-efficiency split.
+        w.object("fleet", |w| {
+            w.string("route", fleet.route.label())
+                .field("boards", fleet.boards.len())
+                .field("requests", fleet.requests)
+                .fixed("aggregate_rps", fleet.aggregate_rps, 3)
+                .fixed("goodput_rps", fleet.goodput_rps.unwrap_or(0.0), 3)
+                .fixed("speedup_vs_single", fleet_speedup, 3)
+                .fixed("p99_s", fleet.latency_p99_s, 6)
+                .field("requeued", fleet.requeued);
+            w.array("per_board", |w| {
+                for b in &fleet.boards {
+                    w.row(|w| {
+                        w.string("name", &b.name)
+                            .field("assigned", b.assigned)
+                            .fixed("utilization", b.utilization, 4)
+                            .fixed("rps_per_kluts", b.rps_per_kluts, 3);
+                    });
+                }
+            });
+        });
+        // Per-platform portfolio figures for the paper kernel.
+        w.array_lines("platforms", |w| {
+            for (id, clock, k, luts, brams, total_s) in &platform_rows {
+                w.row(|w| {
+                    w.string("platform", id)
+                        .fixed("clock_mhz", *clock, 1)
+                        .field("max_k", *k)
+                        .field("luts", *luts)
+                        .field("brams", *brams)
+                        .fixed("total_s_4000", *total_s, 6)
+                        .field("feasible", *k > 0);
+                });
+            }
+        });
+        w.object("portfolio", |w| {
+            w.field("evaluated", portfolio.evaluated)
+                .field("feasible", portfolio.feasible)
+                .field("backend_compiles", portfolio.backend_compiles)
+                .field("backend_reuses", portfolio.backend_reuses)
+                .field("pareto_points", portfolio.pareto_frontier().len())
+                .field("platforms_spanned", portfolio.feasible_platforms().len())
+                .field("dense_evaluated", dense.evaluated)
+                .field("dense_feasible", dense.feasible)
+                .field("dense_wall_ns", dense_ns);
+        });
+        // Feasibility-oracle counters accumulated over the entire bench
+        // run (same schema as `cfdc --json` and the DSE/portfolio
+        // reports): layered quick exits, verdict-memo traffic, simplex
+        // calls and FM fallbacks, projection-memo traffic.
+        w.object("polyhedra", |w| {
+            write_oracle(w, &polyhedra::OracleCounters::snapshot());
+        });
+        w.object_lines("baseline_pr9", |w| {
+            for (name, ns) in &baseline_pr9 {
+                w.field(name, *ns);
+            }
+        });
+    });
 
     match &args.out {
         Some(path) => {

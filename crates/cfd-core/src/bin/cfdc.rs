@@ -55,16 +55,41 @@
 //! introduced for small-board compiles.
 
 use cfd_core::dse::{DseEngine, DseGrid};
+use cfd_core::pipeline::{write_cache, write_oracle};
 use cfd_core::program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 use cfd_core::{
     Arrival, BatchPolicy, CompileCache, FaultPlan, FleetBoard, FleetOptions, Flow, FlowOptions,
     OnlinePolicy, RecoveryPolicy, RoutePolicy, RuntimeOptions,
 };
 use mnemosyne::MemoryOptions;
+use runtime::json;
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 use std::sync::Arc;
 use sysgen::{Platform, ProgramSystemConfig, SystemConfig};
 use zynq::SimConfig;
+
+/// Write `text` to stdout: every command's output takes this path. A
+/// reader that closed the pipe early (`cfdc ... | head`) has all it
+/// wants, so a broken pipe ends the process quietly with status 0.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: cannot write output: {e}");
+        exit(1);
+    }
+}
+
+/// Shadows the standard `println!` in this binary so every line goes
+/// through [`emit`] (the standard one panics on a closed pipe).
+macro_rules! println {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -721,26 +746,20 @@ fn report_cache(t: &cfd_core::StageTimings, enabled: bool) {
 /// The `--json` compile summary: stage timings plus cache and
 /// polyhedra-oracle counters.
 fn timings_json(kernels: usize, t: &cfd_core::StageTimings) -> String {
-    format!(
-        "{{\n  \"kernels\": {},\n  \"timings_s\": {{\"frontend\": {:.6}, \"middle_end\": {:.6}, \
-         \"schedule\": {:.6}, \"link\": {:.6}, \"backend\": {:.6}, \"system\": {:.6}, \"total\": {:.6}}},\n  \
-         \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n  \
-         \"polyhedra\": {}\n}}",
-        kernels,
-        t.frontend_s,
-        t.middle_end_s,
-        t.schedule_s,
-        t.link_s,
-        t.backend_s,
-        t.system_s,
-        t.total_s(),
-        t.cache.hits,
-        t.cache.disk_hits,
-        t.cache.misses,
-        t.cache.stores,
-        t.cache.invalidations,
-        t.oracle.json(),
-    )
+    json::document(|w| {
+        w.field("kernels", kernels);
+        w.object("timings_s", |w| {
+            w.fixed("frontend", t.frontend_s, 6)
+                .fixed("middle_end", t.middle_end_s, 6)
+                .fixed("schedule", t.schedule_s, 6)
+                .fixed("link", t.link_s, 6)
+                .fixed("backend", t.backend_s, 6)
+                .fixed("system", t.system_s, 6)
+                .fixed("total", t.total_s(), 6);
+        });
+        w.object("compile_cache", |w| write_cache(w, &t.cache));
+        w.object("polyhedra", |w| write_oracle(w, &t.oracle));
+    })
 }
 
 fn compile(p: &Parsed) -> cfd_core::Artifacts {
@@ -985,7 +1004,7 @@ fn cmd_compile(args: &[String]) {
         }
     }
     if p.json {
-        println!("{}", timings_json(1, &art.timings));
+        emit(&timings_json(1, &art.timings));
     }
 }
 
@@ -1057,7 +1076,7 @@ fn cmd_compile_program(p: &Parsed) {
         }
     }
     if p.json {
-        println!("{}", timings_json(art.kernel_count(), &art.timings));
+        emit(&timings_json(art.kernel_count(), &art.timings));
     }
 }
 
@@ -1178,7 +1197,7 @@ fn cmd_serve(args: &[String]) {
         println!("{}", out.report.to_json());
         return;
     }
-    print!("{}", out.report.render_table());
+    emit(&out.report.render_table());
     // With --batch off the run IS the sequential baseline — comparing it
     // against itself would just print a meaningless 1.00x.
     if p.batch == BatchPolicy::Disabled {
@@ -1259,7 +1278,7 @@ fn cmd_serve_fleet(p: &Parsed) {
         println!("{}", out.report.to_json());
         return;
     }
-    print!("{}", out.report.render_table());
+    emit(&out.report.render_table());
 }
 
 fn cmd_explore(args: &[String]) {
@@ -1282,7 +1301,7 @@ fn cmd_explore(args: &[String]) {
         if p.json {
             println!("{}", report.to_json());
         } else {
-            print!("{}", report.render_table());
+            emit(&report.render_table());
             if let Some(best) = report.best() {
                 let program = if p.is_program() {
                     format!(", program {}", best.kernel)
@@ -1309,7 +1328,7 @@ fn print_portfolio(report: &cfd_core::dse::PortfolioReport, json: bool) {
         println!("{}", report.to_json());
         return;
     }
-    print!("{}", report.render_table());
+    emit(&report.render_table());
     let frontier = report.pareto_frontier();
     println!("pareto frontier ({} points):", frontier.len());
     for o in frontier {
@@ -1361,7 +1380,7 @@ fn explore_program_listing(p: &Parsed) {
         eprintln!("compilation failed: {e}");
         exit(1)
     });
-    print!("{}", program_report(&art));
+    emit(&program_report(&art));
     let stages: Vec<(String, hls::HlsReport)> = art
         .names
         .iter()

@@ -47,8 +47,12 @@ use sysgen::{Platform, ProgramSystemConfig, SystemConfig};
 use teil::TensorKind;
 use zynq::SimConfig;
 
+use runtime::json;
+
 use crate::cache::CacheCounters;
-use crate::pipeline::{Backend, Pipeline, Scheduled, StageCounts, StageTimings};
+use crate::pipeline::{
+    write_cache, write_oracle, Backend, Pipeline, Scheduled, StageCounts, StageTimings,
+};
 use crate::program::{ProgramBuild, ProgramOptions};
 use crate::{Artifacts, FlowError, FlowOptions};
 
@@ -306,77 +310,71 @@ impl DseReport {
         s
     }
 
-    /// Serialize the report as JSON (hand-rolled: the dependency set has
-    /// no serde_json).
+    /// Serialize the report as JSON through [`runtime::json::document`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
-        s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"elements\": {},\n", self.elements));
-        s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-        s.push_str(&format!(
-            "  \"shared_stages\": {{\"frontend_s\": {:.6}, \"middle_end_s\": {:.6}, \"schedule_s\": {:.6}}},\n",
-            self.shared.frontend_s, self.shared.middle_end_s, self.shared.schedule_s
-        ));
-        s.push_str(&format!(
-            "  \"stage_invocations\": {{\"frontend\": {}, \"middle_end\": {}, \"schedule\": {}, \"backend\": {}, \"system\": {}}},\n",
-            self.counts.frontend,
-            self.counts.middle_end,
-            self.counts.schedule,
-            self.counts.backend,
-            self.counts.system
-        ));
-        s.push_str(&format!(
-            "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}, \"compile_s\": {:.6}}},\n",
-            self.backend_compiles, self.backend_reuses, self.backend_s
-        ));
-        s.push_str(&format!(
-            "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-            self.cache.hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.stores,
-            self.cache.invalidations
-        ));
-        s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
-        s.push_str(&format!(
-            "  \"eval_timing\": {{\"total_s\": {:.6}, \"mean_s\": {:.6}, \"max_s\": {:.6}}},\n",
-            self.eval_total_s, self.eval_mean_s, self.eval_max_s
-        ));
-        s.push_str("  \"outcomes\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let p = &o.point;
-            s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"k\": {}, \"m\": {}, \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \
-                 \"feasible\": {}, \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \
-                 \"plm_brams\": {}, \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"eval_s\": {:.6}}}{}\n",
-                runtime::json_escape(&o.kernel),
-                p.k,
-                p.m,
-                p.sharing,
-                p.decoupled,
-                p.partition,
-                o.feasible,
-                o.luts,
-                o.ffs,
-                o.dsps,
-                o.brams,
-                o.plm_brams,
-                o.latency_cycles,
-                o.total_s,
-                o.throughput_eps,
-                o.service_rps,
-                o.service_p99_s,
-                o.eval_s,
-                if i + 1 == self.outcomes.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::document(|w| {
+            w.field("evaluated", self.evaluated)
+                .field("feasible", self.feasible)
+                .field("jobs", self.jobs)
+                .field("elements", self.elements)
+                .fixed("wall_s", self.wall_s, 6);
+            w.object("shared_stages", |w| {
+                w.fixed("frontend_s", self.shared.frontend_s, 6)
+                    .fixed("middle_end_s", self.shared.middle_end_s, 6)
+                    .fixed("schedule_s", self.shared.schedule_s, 6);
+            });
+            w.object("stage_invocations", |w| {
+                w.field("frontend", self.counts.frontend)
+                    .field("middle_end", self.counts.middle_end)
+                    .field("schedule", self.counts.schedule)
+                    .field("backend", self.counts.backend)
+                    .field("system", self.counts.system);
+            });
+            w.object("backend_cache", |w| {
+                w.field("compiles", self.backend_compiles)
+                    .field("reuses", self.backend_reuses)
+                    .fixed("compile_s", self.backend_s, 6);
+            });
+            w.object("compile_cache", |w| write_cache(w, &self.cache));
+            w.object("polyhedra", |w| write_oracle(w, &self.oracle));
+            w.object("eval_timing", |w| {
+                w.fixed("total_s", self.eval_total_s, 6)
+                    .fixed("mean_s", self.eval_mean_s, 6)
+                    .fixed("max_s", self.eval_max_s, 6);
+            });
+            w.array_lines("outcomes", |w| {
+                for o in &self.outcomes {
+                    w.row(|w| {
+                        write_outcome(w, o);
+                        w.fixed("eval_s", o.eval_s, 6);
+                    });
+                }
+            });
+        })
     }
+}
+
+/// Write the members every sweep row shares, kernel label through
+/// `service_p99_s`, into the object `w` has open.
+fn write_outcome(w: &mut json::Writer, o: &DseOutcome) {
+    let p = &o.point;
+    w.string("kernel", &o.kernel)
+        .field("k", p.k)
+        .field("m", p.m)
+        .field("sharing", p.sharing)
+        .field("decoupled", p.decoupled)
+        .field("partition", p.partition)
+        .field("feasible", o.feasible)
+        .field("luts", o.luts)
+        .field("ffs", o.ffs)
+        .field("dsps", o.dsps)
+        .field("brams", o.brams)
+        .field("plm_brams", o.plm_brams)
+        .field("latency_cycles", o.latency_cycles)
+        .fixed("total_s", o.total_s, 6)
+        .fixed("throughput_eps", o.throughput_eps, 3)
+        .fixed("service_rps", o.service_rps, 3)
+        .fixed("service_p99_s", o.service_p99_s, 6);
 }
 
 /// The exploration engine over a program of one or more kernels (a
@@ -961,143 +959,85 @@ impl PortfolioReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json).
+    /// Serialize as JSON through [`runtime::json::document`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"evaluated\": {},\n", self.evaluated));
-        s.push_str(&format!("  \"feasible\": {},\n", self.feasible));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"elements\": {},\n", self.elements));
-        s.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-        s.push_str(&format!(
-            "  \"backend_cache\": {{\"compiles\": {}, \"reuses\": {}}},\n",
-            self.backend_compiles, self.backend_reuses
-        ));
-        s.push_str(&format!(
-            "  \"compile_cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"stores\": {}, \"invalidations\": {}}},\n",
-            self.cache.hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.stores,
-            self.cache.invalidations
-        ));
-        s.push_str(&format!("  \"polyhedra\": {},\n", self.oracle.json()));
-        s.push_str("  \"platforms\": [\n");
-        for (i, p) in self.summaries.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"board\": \"{}\", \"evaluated\": {}, \
-                 \"feasible\": {}, \"pareto_points\": {}, \"best_total_s\": {}}}{}\n",
-                runtime::json_escape(&p.platform),
-                runtime::json_escape(&p.board),
-                p.evaluated,
-                p.feasible,
-                p.pareto_points,
-                match p.best_total_s {
-                    Some(t) => format!("{t:.6}"),
-                    None => "null".to_string(),
-                },
-                if i + 1 == self.summaries.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        let frontier = self.pareto_frontier();
-        s.push_str("  \"pareto_frontier\": [\n");
-        for (i, o) in frontier.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \"utilization\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.total_s,
-                o.outcome.throughput_eps,
-                o.utilization,
-                if i + 1 == frontier.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        let service = self.service_frontier();
-        s.push_str("  \"service_frontier\": [\n");
-        for (i, o) in service.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \"utilization\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.service_rps,
-                o.outcome.service_p99_s,
-                o.utilization,
-                if i + 1 == service.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        let cost = self.cost_frontier();
-        s.push_str("  \"cost_frontier\": [\n");
-        for (i, (o, per_kluts)) in cost.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"k\": {}, \"m\": {}, \
-                 \"luts\": {}, \"service_rps\": {:.3}, \"rps_per_kluts\": {:.4}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                p.k,
-                p.m,
-                o.outcome.luts,
-                o.outcome.service_rps,
-                per_kluts,
-                if i + 1 == cost.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"outcomes\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let p = &o.outcome.point;
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"clock_mhz\": {:.1}, \"kernel\": \"{}\", \"k\": {}, \"m\": {}, \
-                 \"sharing\": {}, \"decoupled\": {}, \"partition\": {}, \"feasible\": {}, \
-                 \"luts\": {}, \"ffs\": {}, \"dsps\": {}, \"brams\": {}, \"plm_brams\": {}, \
-                 \"latency_cycles\": {}, \"total_s\": {:.6}, \"throughput_eps\": {:.3}, \
-                 \"service_rps\": {:.3}, \"service_p99_s\": {:.6}, \
-                 \"utilization\": {:.4}, \"pareto\": {}, \"service_pareto\": {}}}{}\n",
-                runtime::json_escape(&o.platform),
-                o.clock_mhz,
-                runtime::json_escape(&o.outcome.kernel),
-                p.k,
-                p.m,
-                p.sharing,
-                p.decoupled,
-                p.partition,
-                o.outcome.feasible,
-                o.outcome.luts,
-                o.outcome.ffs,
-                o.outcome.dsps,
-                o.outcome.brams,
-                o.outcome.plm_brams,
-                o.outcome.latency_cycles,
-                o.outcome.total_s,
-                o.outcome.throughput_eps,
-                o.outcome.service_rps,
-                o.outcome.service_p99_s,
-                o.utilization,
-                o.pareto,
-                o.service_pareto,
-                if i + 1 == self.outcomes.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::document(|w| {
+            w.field("evaluated", self.evaluated)
+                .field("feasible", self.feasible)
+                .field("jobs", self.jobs)
+                .field("elements", self.elements)
+                .fixed("wall_s", self.wall_s, 6);
+            w.object("backend_cache", |w| {
+                w.field("compiles", self.backend_compiles)
+                    .field("reuses", self.backend_reuses);
+            });
+            w.object("compile_cache", |w| write_cache(w, &self.cache));
+            w.object("polyhedra", |w| write_oracle(w, &self.oracle));
+            w.array_lines("platforms", |w| {
+                for p in &self.summaries {
+                    w.row(|w| {
+                        w.string("platform", &p.platform)
+                            .string("board", &p.board)
+                            .field("evaluated", p.evaluated)
+                            .field("feasible", p.feasible)
+                            .field("pareto_points", p.pareto_points)
+                            .fixed("best_total_s", p.best_total_s, 6);
+                    });
+                }
+            });
+            w.array_lines("pareto_frontier", |w| {
+                for o in self.pareto_frontier() {
+                    w.row(|w| {
+                        write_frontier_point(w, o);
+                        w.fixed("total_s", o.outcome.total_s, 6)
+                            .fixed("throughput_eps", o.outcome.throughput_eps, 3)
+                            .fixed("utilization", o.utilization, 4);
+                    });
+                }
+            });
+            w.array_lines("service_frontier", |w| {
+                for o in self.service_frontier() {
+                    w.row(|w| {
+                        write_frontier_point(w, o);
+                        w.fixed("service_rps", o.outcome.service_rps, 3)
+                            .fixed("service_p99_s", o.outcome.service_p99_s, 6)
+                            .fixed("utilization", o.utilization, 4);
+                    });
+                }
+            });
+            w.array_lines("cost_frontier", |w| {
+                for (o, per_kluts) in self.cost_frontier() {
+                    w.row(|w| {
+                        write_frontier_point(w, o);
+                        w.field("luts", o.outcome.luts)
+                            .fixed("service_rps", o.outcome.service_rps, 3)
+                            .fixed("rps_per_kluts", per_kluts, 4);
+                    });
+                }
+            });
+            w.array_lines("outcomes", |w| {
+                for o in &self.outcomes {
+                    w.row(|w| {
+                        w.string("platform", &o.platform)
+                            .fixed("clock_mhz", o.clock_mhz, 1);
+                        write_outcome(w, &o.outcome);
+                        w.fixed("utilization", o.utilization, 4)
+                            .field("pareto", o.pareto)
+                            .field("service_pareto", o.service_pareto);
+                    });
+                }
+            });
+        })
     }
+}
+
+/// Write the `platform`, `clock_mhz`, `k` and `m` members that open
+/// every frontier row into the object `w` has open.
+fn write_frontier_point(w: &mut json::Writer, o: &PortfolioOutcome) {
+    w.string("platform", &o.platform)
+        .fixed("clock_mhz", o.clock_mhz, 1)
+        .field("k", o.outcome.point.k)
+        .field("m", o.outcome.point.m);
 }
 
 /// Largest resource-utilization fraction of a feasible outcome against a

@@ -77,7 +77,7 @@ pub use program::{ProgramArtifacts, ProgramFlow, ProgramOptions};
 // The serving layer: request-level batching runtime over a compiled
 // system ([`ProgramArtifacts::serve`] is the artifact-level entry).
 pub use runtime::{
-    json_escape, Arrival, BatchPolicy, OnlinePolicy, RecoveryPolicy, RequestOutcome, RuntimeError,
+    Arrival, BatchPolicy, OnlinePolicy, RecoveryPolicy, RequestOutcome, RuntimeError,
     RuntimeOptions, ServeOutcome, ServiceReport,
 };
 // The fleet layer: one request stream sharded across N boards

@@ -54,6 +54,7 @@ use cgen::{CKernel, CodegenOptions};
 use hls::HlsReport;
 use mnemosyne::{MemorySubsystem, MnemosyneConfig};
 use pschedule::{CompatibilityGraph, Dependences, KernelModel, Liveness, Schedule};
+use runtime::json::Writer;
 use sysgen::{HostProgram, SystemDesign};
 use teil::layout::LayoutPlan;
 use teil::Module;
@@ -124,6 +125,33 @@ impl StageTimings {
             + self.backend_s
             + self.system_s
     }
+}
+
+/// Write the eleven polyhedra-oracle counters as members of the object
+/// `w` has open: the one rendering `cfdc --json`, the DSE and portfolio
+/// reports and `bench_json` share.
+pub fn write_oracle(w: &mut Writer, o: &polyhedra::OracleCounters) {
+    w.field("quick_hits", o.quick_hits)
+        .field("corner_hits", o.corner_hits)
+        .field("memo_hits", o.memo_hits)
+        .field("memo_misses", o.memo_misses)
+        .field("simplex_calls", o.simplex_calls)
+        .field("simplex_empty", o.simplex_empty)
+        .field("fm_fallbacks", o.fm_fallbacks)
+        .field("proj_hits", o.proj_hits)
+        .field("proj_misses", o.proj_misses)
+        .field("between_hits", o.between_hits)
+        .field("between_misses", o.between_misses);
+}
+
+/// Write the five compile-cache counters as members of the object `w`
+/// has open (shared like [`write_oracle`]).
+pub fn write_cache(w: &mut Writer, c: &CacheCounters) {
+    w.field("hits", c.hits)
+        .field("disk_hits", c.disk_hits)
+        .field("misses", c.misses)
+        .field("stores", c.stores)
+        .field("invalidations", c.invalidations);
 }
 
 /// Output of the frontend stage: the type-checked program.

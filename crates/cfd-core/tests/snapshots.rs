@@ -15,8 +15,9 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 // ---------------------------------------------------------------------
 // A minimal JSON reader (the dependency set has no serde_json): just
@@ -332,6 +333,38 @@ fn serve_faults_json_schema_is_stable() {
         "\"attempts\"",
     ] {
         assert!(out.contains(key), "missing {key}");
+    }
+}
+
+#[test]
+fn report_output_stops_quietly_when_the_reader_closes_early() {
+    // `cfdc ... | head -c 20`: both reports are far larger than a 64 KiB
+    // pipe buffer, so cfdc is still writing when the reader goes away.
+    for args in [
+        &["serve", "axpy:4", "--requests", "4096", "--json"][..],
+        &["explore", "helmholtz:4", "--boards", "all", "--json"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cfdc"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cfdc runs");
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        let mut head = [0u8; 20];
+        stdout.read_exact(&mut head).expect("report starts");
+        drop(stdout);
+        let out = child.wait_with_output().expect("cfdc exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "cfdc {args:?} panicked:\n{stderr}"
+        );
+        assert!(
+            out.status.success(),
+            "cfdc {args:?} exited with {}",
+            out.status
+        );
     }
 }
 

@@ -451,29 +451,6 @@ impl OracleCounters {
         }
     }
 
-    /// The canonical JSON rendering of the counter schema, used
-    /// verbatim by `cfdc --json`, the DSE/portfolio reports and
-    /// `bench_json` so every surface agrees on field names.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"quick_hits\": {}, \"corner_hits\": {}, \"memo_hits\": {}, \
-             \"memo_misses\": {}, \"simplex_calls\": {}, \"simplex_empty\": {}, \
-             \"fm_fallbacks\": {}, \"proj_hits\": {}, \"proj_misses\": {}, \
-             \"between_hits\": {}, \"between_misses\": {}}}",
-            self.quick_hits,
-            self.corner_hits,
-            self.memo_hits,
-            self.memo_misses,
-            self.simplex_calls,
-            self.simplex_empty,
-            self.fm_fallbacks,
-            self.proj_hits,
-            self.proj_misses,
-            self.between_hits,
-            self.between_misses,
-        )
-    }
-
     /// Sum of all fields — cheap "did any oracle work happen" probe.
     pub fn total(&self) -> u64 {
         self.quick_hits

@@ -58,8 +58,8 @@ use zynq::des::{secs, to_secs, Time};
 use zynq::fault::FaultPlan;
 
 use crate::{
-    json::json_escape, percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions,
-    ServeOutcome, ServiceReport,
+    json, percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions, ServeOutcome,
+    ServiceReport,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -673,91 +673,55 @@ impl FleetReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json). Per-board reports embed the full
-    /// [`ServiceReport::to_json`] document, so a fleet-of-1 JSON carries
-    /// the byte-exact single-board report.
+    /// Serialize as JSON through [`crate::json::document`]. Per-board
+    /// reports embed the full [`ServiceReport::to_json`] document, so a
+    /// fleet-of-1 JSON carries the byte-exact single-board report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"route\": \"{}\",\n", self.route.label()));
-        s.push_str(&format!("  \"parallel\": {},\n", self.parallel));
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"boards\": {},\n", self.boards.len()));
-        s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
-        s.push_str(&format!(
-            "  \"aggregate_rps\": {:.3},\n",
-            self.aggregate_rps
-        ));
-        s.push_str(&format!(
-            "  \"goodput_rps\": {},\n",
-            self.goodput_rps
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
-        ));
-        s.push_str(&format!(
-            "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
-            self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
-             \"shed\": {}, \"failed\": {}, \"requeued_across_boards\": {}}},\n",
-            self.completed, self.retried, self.timed_out, self.shed, self.failed, self.requeued
-        ));
-        s.push_str("  \"per_board\": [\n");
-        for (k, b) in self.boards.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"platform\": \"{}\", \"board_luts\": {}, \
-                 \"assigned\": {}, \"rescued_in\": {}, \"rescued_out\": {}, \
-                 \"est_request_ticks\": {}, \
-                 \"utilization\": {:.4}, \"rps_per_kluts\": {:.4}, \"report\": {}}}{}\n",
-                json_escape(&b.name),
-                json_escape(&b.platform),
-                b.board_luts,
-                b.assigned,
-                b.rescued_in,
-                b.rescued_out,
-                b.est_request_ticks,
-                b.utilization,
-                b.rps_per_kluts,
-                match &b.report {
-                    Some(r) => indent_json(&r.to_json(), 4),
-                    None => "null".into(),
-                },
-                if k + 1 == self.boards.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"assignment\": [");
-        for (k, (id, b)) in self.assignment.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"id\": {id}, \"board\": {b}}}{}",
-                if k + 1 == self.assignment.len() {
-                    ""
-                } else {
-                    ", "
-                },
-            ));
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-}
-
-/// Re-indent an embedded JSON document by `by` spaces (first line
-/// stays in place — it follows a `"key": ` prefix).
-fn indent_json(doc: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    doc.trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("\n{pad}{l}")
-            }
+        json::document(|w| {
+            w.string("route", self.route.label())
+                .field("parallel", self.parallel)
+                .field("requests", self.requests)
+                .field("boards", self.boards.len())
+                .fixed("makespan_s", self.makespan_s, 6)
+                .fixed("aggregate_rps", self.aggregate_rps, 3)
+                .fixed("goodput_rps", self.goodput_rps, 3);
+            write_latency!(w, self);
+            w.object("reliability", |w| {
+                w.field("completed", self.completed)
+                    .field("retried", self.retried)
+                    .field("timed_out", self.timed_out)
+                    .field("shed", self.shed)
+                    .field("failed", self.failed)
+                    .field("requeued_across_boards", self.requeued);
+            });
+            w.array_lines("per_board", |w| {
+                for b in &self.boards {
+                    w.row(|w| {
+                        w.string("name", &b.name)
+                            .string("platform", &b.platform)
+                            .field("board_luts", b.board_luts)
+                            .field("assigned", b.assigned)
+                            .field("rescued_in", b.rescued_in)
+                            .field("rescued_out", b.rescued_out)
+                            .field("est_request_ticks", b.est_request_ticks)
+                            .fixed("utilization", b.utilization, 4)
+                            .fixed("rps_per_kluts", b.rps_per_kluts, 4);
+                        match &b.report {
+                            Some(r) => w.object_lines("report", |w| r.write_members(w)),
+                            None => w.null("report"),
+                        }
+                    });
+                }
+            });
+            w.array("assignment", |w| {
+                for &(id, board) in &self.assignment {
+                    w.row(|w| {
+                        w.field("id", id).field("board", board);
+                    });
+                }
+            });
         })
-        .collect()
+    }
 }
 
 impl fmt::Display for FleetReport {

@@ -51,13 +51,26 @@
 //! serve`, which wires compiled artifacts into this crate; `cfdc serve`
 //! drives it from the command line.
 
+/// Write the `"latency"` member of a report with `latency_mean_s`,
+/// `latency_p50_s`, `latency_p99_s` and `latency_max_s` fields: the
+/// single-board and fleet reports share it.
+macro_rules! write_latency {
+    ($w:expr, $report:expr) => {
+        $w.object("latency", |w| {
+            w.fixed("mean_s", $report.latency_mean_s, 6)
+                .fixed("p50_s", $report.latency_p50_s, 6)
+                .fixed("p99_s", $report.latency_p99_s, 6)
+                .fixed("max_s", $report.latency_max_s, 6);
+        })
+    };
+}
+
 pub mod fleet;
 pub mod json;
 
 pub use fleet::{
     serve_fleet, BoardReport, FleetBoard, FleetOptions, FleetOutcome, FleetReport, RoutePolicy,
 };
-pub use json::json_escape;
 
 use std::collections::HashMap;
 use std::fmt;
@@ -835,102 +848,71 @@ impl ServiceReport {
         s
     }
 
-    /// Serialize as JSON (hand-rolled: the dependency set has no
-    /// serde_json).
+    /// Serialize as JSON through [`json::document`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!(
-            "  \"policy\": \"{}\",\n",
-            json_escape(&self.policy.label())
-        ));
-        s.push_str(&format!(
-            "  \"arrival\": \"{}\",\n",
-            json_escape(&self.arrival.label())
-        ));
-        s.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        s.push_str(&format!("  \"overlap_dma\": {},\n", self.overlap_dma));
-        s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        s.push_str(&format!(
-            "  \"fast_forwarded_rounds\": {},\n",
-            self.fast_forwarded_rounds
-        ));
-        s.push_str(&format!("  \"mean_fill\": {:.4},\n", self.mean_fill));
-        s.push_str(&format!(
-            "  \"throughput_rps\": {:.3},\n",
-            self.throughput_rps
-        ));
-        s.push_str(&format!("  \"makespan_s\": {:.6},\n", self.makespan_s));
-        s.push_str(&format!(
-            "  \"latency\": {{\"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}}},\n",
-            self.latency_mean_s, self.latency_p50_s, self.latency_p99_s, self.latency_max_s
-        ));
-        s.push_str(&format!(
-            "  \"dma\": {{\"exec_s\": {:.6}, \"transfer_s\": {:.6}, \"overlap_fraction\": {:.4}}},\n",
-            to_secs(self.exec_ticks),
-            to_secs(self.transfer_ticks),
-            self.overlap_fraction
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"completed\": {}, \"retried\": {}, \"timed_out\": {}, \
-             \"shed\": {}, \"failed\": {}, \"goodput_rps\": {}, \"offered_rps\": {:.3}, \
-             \"p99_completed_s\": {}}},\n",
-            self.completed,
-            self.retried,
-            self.timed_out,
-            self.shed,
-            self.failed,
-            self.goodput_rps
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.3}")),
-            self.offered_rps,
-            self.latency_p99_completed_s
-                .map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
-        ));
-        s.push_str(&format!(
-            "  \"faults\": {{\"plan\": \"{}\", \"policy\": \"{}\", \"transient\": {}, \
-             \"dma_stalls\": {}, \"corrupt\": {}}},\n",
-            json_escape(&self.fault_plan),
-            json_escape(&self.recovery.label()),
-            self.transient_faults,
-            self.dma_stalls,
-            self.corrupt_payloads
-        ));
+        json::document(|w| self.write_members(w))
+    }
+
+    /// Write the report's members into the object `w` has open; a
+    /// [`FleetReport`] embeds each board's report this way.
+    pub(crate) fn write_members(&self, w: &mut json::Writer) {
+        w.field("requests", self.requests)
+            .string("policy", &self.policy.label())
+            .string("arrival", &self.arrival.label())
+            .field("capacity", self.capacity)
+            .field("overlap_dma", self.overlap_dma)
+            .field("rounds", self.rounds)
+            .field("fast_forwarded_rounds", self.fast_forwarded_rounds)
+            .fixed("mean_fill", self.mean_fill, 4)
+            .fixed("throughput_rps", self.throughput_rps, 3)
+            .fixed("makespan_s", self.makespan_s, 6);
+        write_latency!(w, self);
+        w.object("dma", |w| {
+            w.fixed("exec_s", to_secs(self.exec_ticks), 6)
+                .fixed("transfer_s", to_secs(self.transfer_ticks), 6)
+                .fixed("overlap_fraction", self.overlap_fraction, 4);
+        });
+        w.object("reliability", |w| {
+            w.field("completed", self.completed)
+                .field("retried", self.retried)
+                .field("timed_out", self.timed_out)
+                .field("shed", self.shed)
+                .field("failed", self.failed)
+                .fixed("goodput_rps", self.goodput_rps, 3)
+                .fixed("offered_rps", self.offered_rps, 3)
+                .fixed("p99_completed_s", self.latency_p99_completed_s, 6);
+        });
+        w.object("faults", |w| {
+            w.string("plan", &self.fault_plan)
+                .string("policy", &self.recovery.label())
+                .field("transient", self.transient_faults)
+                .field("dma_stalls", self.dma_stalls)
+                .field("corrupt", self.corrupt_payloads);
+        });
         if self.online_policy.armed() {
-            s.push_str(&format!(
-                "  \"online\": {{\"policy\": \"{}\", \"slo_s\": {}, \"shed_queue\": {}, \
-                 \"priority_tiers\": {}, \"early_closed_rounds\": {}, \
-                 \"backpressure_shed\": {}}},\n",
-                json_escape(&self.online_policy.label()),
-                self.online_policy
-                    .slo_s
-                    .map_or_else(|| "null".to_string(), |v| format!("{v:.6}")),
-                self.online_policy
-                    .shed_queue
-                    .map_or_else(|| "null".to_string(), |v| v.to_string()),
-                self.online_policy.priority_tiers,
-                self.early_closed_rounds,
-                self.backpressure_shed
-            ));
+            let p = &self.online_policy;
+            w.object("online", |w| {
+                w.string("policy", &p.label())
+                    .fixed("slo_s", p.slo_s, 6)
+                    .field("shed_queue", p.shed_queue)
+                    .field("priority_tiers", p.priority_tiers)
+                    .field("early_closed_rounds", self.early_closed_rounds)
+                    .field("backpressure_shed", self.backpressure_shed);
+            });
         }
-        s.push_str("  \"traces\": [\n");
-        for (i, t) in self.traces.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"arrival_s\": {:.6}, \"admitted_s\": {:.6}, \
-                 \"completed_s\": {:.6}, \"latency_s\": {:.6}, \"attempts\": {}, \
-                 \"outcome\": \"{}\"}}{}\n",
-                t.id,
-                t.arrival_s,
-                t.admitted_s,
-                t.completed_s,
-                t.latency_s,
-                t.attempts,
-                t.outcome.label(),
-                if i + 1 == self.traces.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        w.array_lines("traces", |w| {
+            for t in &self.traces {
+                w.row(|w| {
+                    w.field("id", t.id)
+                        .fixed("arrival_s", t.arrival_s, 6)
+                        .fixed("admitted_s", t.admitted_s, 6)
+                        .fixed("completed_s", t.completed_s, 6)
+                        .fixed("latency_s", t.latency_s, 6)
+                        .field("attempts", t.attempts)
+                        .string("outcome", t.outcome.label());
+                });
+            }
+        });
     }
 }
 
