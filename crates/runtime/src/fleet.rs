@@ -673,9 +673,9 @@ impl FleetReport {
         s
     }
 
-    /// Serialize as JSON through [`crate::json::document`]. Per-board
-    /// reports embed the full [`ServiceReport::to_json`] document, so a
-    /// fleet-of-1 JSON carries the byte-exact single-board report.
+    /// Serialize as JSON through [`crate::json::document`]. Each board's
+    /// full [`ServiceReport`] document is written in place at its depth,
+    /// so a fleet-of-1 JSON carries the byte-exact single-board report.
     pub fn to_json(&self) -> String {
         json::document(|w| {
             w.string("route", self.route.label())
