@@ -1,12 +1,29 @@
 //! Direct execution of generated loop programs.
 //!
 //! This is the repository's stand-in for "compile the generated C and run
-//! it": the loop program is interpreted over flat `f64` arrays, producing
+//! it": the loop program is executed over flat `f64` arrays, producing
 //! both the functional result (validated against the `teil` interpreter)
 //! and the operation counts that parameterize the ARM cost model for the
 //! paper's *SW HLS code* measurement (Figure 10).
+//!
+//! [`run_kernel`] lowers the [`CKernel`] into a plan on every call (it
+//! costs microseconds, so nothing is cached):
+//!
+//! - array names become slot indices and scalar names scalar slots;
+//! - every access keeps its current address, which moves by a fixed step
+//!   when an enclosing loop advances (an odometer), so no address is
+//!   recomputed from the loop variables;
+//! - control flow does not depend on data, so the [`ExecCounts`] of a run
+//!   that completes are totalled at lowering.
+//!
+//! The caller's arrays move into the slots for the run and back out
+//! afterwards, on success and on error alike; the executed loops do no
+//! name lookup and no allocation. The tree-walking executor this
+//! replaced, which resolved every access by name, is kept under `tests/`
+//! as the differential oracle.
 
 use crate::ir::{ArrAccess, CExpr, CKernel, CStmt};
+use cfdlang::BinOp;
 use std::collections::HashMap;
 
 /// Operation counts of one kernel execution.
@@ -23,9 +40,29 @@ pub struct ExecCounts {
     pub iters: u64,
 }
 
+impl ExecCounts {
+    /// Add `n` executions of a statement costing `per`.
+    fn add_times(&mut self, per: &ExecCounts, n: u64) {
+        self.fp_ops += per.fp_ops * n;
+        self.loads += per.loads * n;
+        self.stores += per.stores * n;
+        self.addr_muls += per.addr_muls * n;
+        self.addr_adds += per.addr_adds * n;
+        self.iters += per.iters * n;
+    }
+
+    /// Count one evaluation of an address.
+    fn add_addr(&mut self, a: &ArrAccess) {
+        self.addr_muls += a.addr.mul_terms() as u64;
+        self.addr_adds += a.addr.add_terms() as u64;
+    }
+}
+
 /// Execute a kernel over named flat arrays. Arrays listed as parameters
-/// must be present in `mem` with the right size; locals are allocated and
-/// dropped internally.
+/// must be present in `mem` with the right size; locals start zeroed on
+/// every call and are never left in `mem`, whether the run succeeds or
+/// fails. A failed run leaves the writes it made before the failure in
+/// the caller's arrays.
 pub fn run_kernel(k: &CKernel, mem: &mut HashMap<String, Vec<f64>>) -> Result<ExecCounts, String> {
     for p in &k.params {
         let a = mem
@@ -40,145 +77,332 @@ pub fn run_kernel(k: &CKernel, mem: &mut HashMap<String, Vec<f64>>) -> Result<Ex
             ));
         }
     }
-    // Locals live only for the call.
-    for l in &k.locals {
-        mem.entry(l.name.clone())
-            .or_insert_with(|| vec![0.0; l.words]);
+    let plan = Plan::lower(k);
+    // Move the arrays into their slots. A name that is neither a
+    // parameter nor a local resolves through `mem` like a parameter; an
+    // absent one binds an empty array marked unknown, so every access to
+    // it fails.
+    let mut keys: Vec<Option<String>> = Vec::with_capacity(plan.arrays.len());
+    let mut arrays: Vec<Vec<f64>> = Vec::with_capacity(plan.arrays.len());
+    let mut unknown: Vec<bool> = Vec::with_capacity(plan.arrays.len());
+    for (slot, name) in plan.arrays.iter().enumerate() {
+        // A local named like a parameter is that parameter.
+        let local = (slot >= k.params.len())
+            .then(|| k.locals.iter().find(|l| l.name == *name))
+            .flatten();
+        let (key, a) = match local {
+            Some(l) => {
+                mem.remove(*name);
+                (None, Some(vec![0.0; l.words]))
+            }
+            None => mem.remove_entry(*name).unzip(),
+        };
+        unknown.push(a.is_none());
+        keys.push(key);
+        arrays.push(a.unwrap_or_default());
     }
-    let mut counts = ExecCounts::default();
-    let mut vars: Vec<(String, i64)> = Vec::new();
-    let mut scalars: HashMap<String, f64> = HashMap::new();
-    for s in &k.body {
-        exec_stmt(s, mem, &mut vars, &mut scalars, &mut counts)?;
+    let mut m = Machine {
+        plan: &plan,
+        arrays: &mut arrays,
+        unknown,
+        addrs: plan.constants.clone(),
+        scalars: vec![None; plan.scalars.len()],
+    };
+    let run = m.steps(&plan.body);
+    for (key, a) in keys.into_iter().zip(arrays) {
+        if let Some(key) = key {
+            mem.insert(key, a);
+        }
     }
-    for l in &k.locals {
-        mem.remove(&l.name);
-    }
-    Ok(counts)
+    run.map(|()| plan.counts)
 }
 
-fn exec_stmt(
-    s: &CStmt,
-    mem: &mut HashMap<String, Vec<f64>>,
-    vars: &mut Vec<(String, i64)>,
-    scalars: &mut HashMap<String, f64>,
-    counts: &mut ExecCounts,
-) -> Result<(), String> {
-    match s {
-        CStmt::For { var, extent, body } => {
-            vars.push((var.clone(), 0));
-            for i in 0..*extent as i64 {
-                vars.last_mut().expect("pushed").1 = i;
-                for b in body {
-                    exec_stmt(b, mem, vars, scalars, counts)?;
+/// A [`CKernel`] lowered for execution.
+struct Plan<'k> {
+    /// Array names by slot: parameters, locals, then any other name the
+    /// body accesses, in order of first appearance.
+    arrays: Vec<&'k str>,
+    /// Scalar names by slot.
+    scalars: Vec<&'k str>,
+    /// Address of each access (by access id) with every loop variable at
+    /// zero: the starting point of the odometer.
+    constants: Vec<i64>,
+    /// Coefficients of each access by loop depth. Only needed while
+    /// lowering.
+    coeffs: Vec<&'k [i64]>,
+    body: Vec<Step>,
+    /// Counts of a run that completes.
+    counts: ExecCounts,
+}
+
+/// A lowered statement.
+enum Step {
+    /// `extent` iterations of `body`. After each one, every access inside
+    /// the loop whose address depends on its variable moves by that
+    /// variable's coefficient (`bumps`: access id, coefficient). Only
+    /// enclosing loops move an access: an address may name more loops
+    /// than enclose it (a write-back outside its reduction loops), and
+    /// those coefficients are never read.
+    Loop {
+        extent: i64,
+        bumps: Box<[(usize, i64)]>,
+        body: Vec<Step>,
+    },
+    Decl {
+        scalar: usize,
+        init: f64,
+    },
+    Accum {
+        scalar: usize,
+        expr: Expr,
+    },
+    Store {
+        target: Access,
+        expr: Expr,
+        accum: bool,
+    },
+}
+
+/// A lowered scalar expression.
+enum Expr {
+    Const(f64),
+    Scalar(usize),
+    Load(Access),
+    Bin {
+        op: BinOp,
+        lhs: Box<Expr>,
+        rhs: Box<Expr>,
+    },
+}
+
+/// An array access: the array's slot and the access id that indexes its
+/// current address.
+struct Access {
+    slot: usize,
+    id: usize,
+}
+
+impl<'k> Plan<'k> {
+    fn lower(k: &'k CKernel) -> Plan<'k> {
+        let mut plan = Plan {
+            arrays: Vec::new(),
+            scalars: Vec::new(),
+            constants: Vec::new(),
+            coeffs: Vec::new(),
+            body: Vec::new(),
+            counts: ExecCounts::default(),
+        };
+        for p in k.params.iter().chain(&k.locals) {
+            intern(&mut plan.arrays, &p.name);
+        }
+        plan.body = plan.steps(&k.body, 0, 1);
+        plan
+    }
+
+    /// Lower `stmts` at loop nesting `depth`, executed `trips` times.
+    fn steps(&mut self, stmts: &'k [CStmt], depth: usize, trips: u64) -> Vec<Step> {
+        stmts
+            .iter()
+            .map(|s| {
+                let mut per = ExecCounts::default();
+                let step = match s {
+                    CStmt::For { extent, body, .. } => {
+                        let first = self.constants.len();
+                        let body = self.steps(body, depth + 1, trips * *extent as u64);
+                        let bumps = (first..self.constants.len())
+                            .filter_map(|id| {
+                                let c = self.coeffs[id].get(depth).copied().unwrap_or(0);
+                                (c != 0).then_some((id, c))
+                            })
+                            .collect();
+                        Step::Loop {
+                            extent: *extent as i64,
+                            bumps,
+                            body,
+                        }
+                    }
+                    CStmt::DeclScalar { name, init } => Step::Decl {
+                        scalar: intern(&mut self.scalars, name),
+                        init: *init,
+                    },
+                    CStmt::AccumScalar { name, expr } => {
+                        per.fp_ops += 1;
+                        per.iters += 1;
+                        Step::Accum {
+                            expr: self.expr(expr, &mut per),
+                            scalar: intern(&mut self.scalars, name),
+                        }
+                    }
+                    CStmt::Store { target, expr } | CStmt::StoreAccum { target, expr } => {
+                        let accum = matches!(s, CStmt::StoreAccum { .. });
+                        per.fp_ops += u64::from(accum);
+                        per.stores += 1;
+                        per.iters += 1;
+                        per.add_addr(target);
+                        Step::Store {
+                            expr: self.expr(expr, &mut per),
+                            target: self.access(target),
+                            accum,
+                        }
+                    }
+                };
+                self.counts.add_times(&per, trips);
+                step
+            })
+            .collect()
+    }
+
+    fn expr(&mut self, e: &'k CExpr, per: &mut ExecCounts) -> Expr {
+        match e {
+            CExpr::Const(c) => Expr::Const(*c),
+            CExpr::Var(name) => Expr::Scalar(intern(&mut self.scalars, name)),
+            CExpr::Load(a) => {
+                per.loads += 1;
+                per.add_addr(a);
+                Expr::Load(self.access(a))
+            }
+            CExpr::Bin { op, lhs, rhs } => {
+                per.fp_ops += 1;
+                Expr::Bin {
+                    op: *op,
+                    lhs: Box::new(self.expr(lhs, per)),
+                    rhs: Box::new(self.expr(rhs, per)),
                 }
             }
-            vars.pop();
-            Ok(())
         }
-        CStmt::DeclScalar { name, init } => {
-            scalars.insert(name.clone(), *init);
-            Ok(())
+    }
+
+    fn access(&mut self, a: &'k ArrAccess) -> Access {
+        self.constants.push(a.addr.constant);
+        self.coeffs.push(&a.addr.coeffs);
+        Access {
+            slot: intern(&mut self.arrays, &a.array),
+            id: self.constants.len() - 1,
         }
-        CStmt::AccumScalar { name, expr } => {
-            let v = eval(expr, mem, vars, scalars, counts)?;
-            let slot = scalars
-                .get_mut(name)
-                .ok_or_else(|| format!("undeclared scalar '{name}'"))?;
-            *slot += v;
-            counts.fp_ops += 1;
-            counts.iters += 1;
-            Ok(())
-        }
-        CStmt::Store { target, expr } => {
-            let v = eval(expr, mem, vars, scalars, counts)?;
-            store(target, v, false, mem, vars, counts)?;
-            counts.iters += 1;
-            Ok(())
-        }
-        CStmt::StoreAccum { target, expr } => {
-            let v = eval(expr, mem, vars, scalars, counts)?;
-            store(target, v, true, mem, vars, counts)?;
-            counts.fp_ops += 1;
-            counts.iters += 1;
-            Ok(())
-        }
+    }
+
+    fn undeclared(&self, scalar: usize) -> String {
+        format!("undeclared scalar '{}'", self.scalars[scalar])
     }
 }
 
-fn addr_of(a: &ArrAccess, vars: &[(String, i64)], counts: &mut ExecCounts) -> i64 {
-    // The loop variables of the *innermost* enclosing nest appear in
-    // order; an access's coefficients index the nest from its outermost
-    // loop. Addresses may reference fewer loops than are live (e.g. the
-    // write-back sits outside the reduction loops), so align by prefix.
-    let n = a.addr.coeffs.len().min(vars.len());
-    let vals: Vec<i64> = vars[..n].iter().map(|(_, v)| *v).collect();
-    counts.addr_muls += a.addr.mul_terms() as u64;
-    counts.addr_adds += a.addr.add_terms() as u64;
-    let mut addr = a.addr.constant;
-    for (c, v) in a.addr.coeffs[..n].iter().zip(&vals) {
-        addr += c * v;
-    }
-    addr
+/// Slot of `name` in `names`, appending it on first sight.
+fn intern<'k>(names: &mut Vec<&'k str>, name: &'k str) -> usize {
+    names.iter().position(|n| *n == name).unwrap_or_else(|| {
+        names.push(name);
+        names.len() - 1
+    })
 }
 
-fn store(
-    target: &ArrAccess,
-    v: f64,
-    accum: bool,
-    mem: &mut HashMap<String, Vec<f64>>,
-    vars: &[(String, i64)],
-    counts: &mut ExecCounts,
-) -> Result<(), String> {
-    let addr = addr_of(target, vars, counts);
-    let arr = mem
-        .get_mut(&target.array)
-        .ok_or_else(|| format!("unknown array '{}'", target.array))?;
-    let slot = arr
-        .get_mut(addr as usize)
-        .ok_or_else(|| format!("store OOB: {}[{addr}]", target.array))?;
-    if accum {
-        *slot += v;
-    } else {
-        *slot = v;
-    }
-    counts.stores += 1;
-    Ok(())
+/// Run state of a plan: the bound arrays (with which of them are
+/// unknown), the current address of every access and the scalars
+/// (`None` until declared).
+struct Machine<'a, 'k> {
+    plan: &'a Plan<'k>,
+    arrays: &'a mut [Vec<f64>],
+    unknown: Vec<bool>,
+    addrs: Vec<i64>,
+    scalars: Vec<Option<f64>>,
 }
 
-fn eval(
-    e: &CExpr,
-    mem: &HashMap<String, Vec<f64>>,
-    vars: &[(String, i64)],
-    scalars: &HashMap<String, f64>,
-    counts: &mut ExecCounts,
-) -> Result<f64, String> {
-    match e {
-        CExpr::Const(c) => Ok(*c),
-        CExpr::Var(v) => scalars
-            .get(v)
-            .copied()
-            .ok_or_else(|| format!("undeclared scalar '{v}'")),
-        CExpr::Load(a) => {
-            let addr = addr_of(a, vars, counts);
-            counts.loads += 1;
-            mem.get(&a.array)
-                .ok_or_else(|| format!("unknown array '{}'", a.array))?
-                .get(addr as usize)
-                .copied()
-                .ok_or_else(|| format!("load OOB: {}[{addr}]", a.array))
+impl Machine<'_, '_> {
+    fn steps(&mut self, steps: &[Step]) -> Result<(), String> {
+        for s in steps {
+            match s {
+                Step::Loop {
+                    extent,
+                    bumps,
+                    body,
+                } => {
+                    for _ in 0..*extent {
+                        self.steps(body)?;
+                        for &(id, c) in bumps.iter() {
+                            self.addrs[id] += c;
+                        }
+                    }
+                    for &(id, c) in bumps.iter() {
+                        self.addrs[id] -= c * extent;
+                    }
+                }
+                Step::Decl { scalar, init } => self.scalars[*scalar] = Some(*init),
+                Step::Accum { scalar, expr } => {
+                    let v = self.value(expr)?;
+                    let acc = self.scalars[*scalar]
+                        .as_mut()
+                        .ok_or_else(|| self.plan.undeclared(*scalar))?;
+                    *acc += v;
+                }
+                Step::Store {
+                    target,
+                    expr,
+                    accum,
+                } => {
+                    let v = self.value(expr)?;
+                    let addr = self.addrs[target.id];
+                    let Some(slot) = self.arrays[target.slot].get_mut(addr as usize) else {
+                        return Err(self.access_error("store", target.slot, addr));
+                    };
+                    if *accum {
+                        *slot += v;
+                    } else {
+                        *slot = v;
+                    }
+                }
+            }
         }
-        CExpr::Bin { op, lhs, rhs } => {
-            let a = eval(lhs, mem, vars, scalars, counts)?;
-            let b = eval(rhs, mem, vars, scalars, counts)?;
-            counts.fp_ops += 1;
-            Ok(match op {
-                cfdlang::BinOp::Add => a + b,
-                cfdlang::BinOp::Sub => a - b,
-                cfdlang::BinOp::Mul => a * b,
-                cfdlang::BinOp::Div => a / b,
-            })
+        Ok(())
+    }
+
+    /// Evaluate `e`, recording the first failed access in `fault` (left
+    /// to right, as a short-circuiting walk would stop). A failed access
+    /// reads as NaN; loads have no side effects, so the caller checks
+    /// `fault` once after the whole expression.
+    fn eval(&self, e: &Expr, fault: &mut Option<String>) -> f64 {
+        match e {
+            Expr::Const(c) => *c,
+            Expr::Scalar(s) => self.scalars[*s].unwrap_or_else(|| {
+                fault.get_or_insert_with(|| self.plan.undeclared(*s));
+                f64::NAN
+            }),
+            Expr::Load(a) => {
+                let addr = self.addrs[a.id];
+                self.arrays[a.slot]
+                    .get(addr as usize)
+                    .copied()
+                    .unwrap_or_else(|| {
+                        fault.get_or_insert_with(|| self.access_error("load", a.slot, addr));
+                        f64::NAN
+                    })
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                let a = self.eval(lhs, fault);
+                let b = self.eval(rhs, fault);
+                match op {
+                    BinOp::Add => a + b,
+                    BinOp::Sub => a - b,
+                    BinOp::Mul => a * b,
+                    BinOp::Div => a / b,
+                }
+            }
         }
+    }
+
+    /// Why a `kind` ("load" or "store") access to `slot` at `addr`
+    /// failed.
+    fn access_error(&self, kind: &str, slot: usize, addr: i64) -> String {
+        let name = self.plan.arrays[slot];
+        if self.unknown[slot] {
+            format!("unknown array '{name}'")
+        } else {
+            format!("{kind} OOB: {name}[{addr}]")
+        }
+    }
+
+    /// Evaluate `e`, failing on its first failed access.
+    fn value(&self, e: &Expr) -> Result<f64, String> {
+        let mut fault = None;
+        let v = self.eval(e, &mut fault);
+        fault.map_or(Ok(v), Err)
     }
 }
 
@@ -306,6 +530,77 @@ mod tests {
             mem.insert(p.name.clone(), vec![0.0; p.words + 1]);
         }
         assert!(run_kernel(&k, &mut mem).unwrap_err().contains("words"));
+    }
+
+    #[test]
+    fn failed_run_removes_locals_and_returns_params() {
+        let (_m, mut k) = setup(&cfdlang::examples::inverse_helmholtz(3), true, false);
+        assert!(!k.locals.is_empty());
+        // A final store one past the end of the output `v` (27 words).
+        k.body.push(CStmt::Store {
+            target: ArrAccess {
+                array: "v".into(),
+                addr: crate::ir::AffineAddr {
+                    coeffs: vec![],
+                    constant: 27,
+                },
+            },
+            expr: CExpr::Const(1.0),
+        });
+        let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
+        for p in &k.params {
+            mem.insert(p.name.clone(), vec![0.5; p.words]);
+        }
+        let err = run_kernel(&k, &mut mem).unwrap_err();
+        assert_eq!(err, "store OOB: v[27]");
+        for l in &k.locals {
+            assert!(!mem.contains_key(&l.name), "local '{}' leaked", l.name);
+        }
+        assert_eq!(mem.len(), k.params.len());
+        for p in &k.params {
+            assert_eq!(mem[&p.name].len(), p.words, "'{}' returned", p.name);
+        }
+        // The stores made before the failure stay in the output.
+        assert!(mem["v"].iter().any(|&x| x != 0.5));
+    }
+
+    #[test]
+    fn locals_start_zeroed_even_when_the_map_holds_their_name() {
+        use crate::ir::{AffineAddr, CParam, ParamRole};
+        let at0 = |array: &str| ArrAccess {
+            array: array.into(),
+            addr: AffineAddr {
+                coeffs: vec![],
+                constant: 0,
+            },
+        };
+        let word = |name: &str, role| CParam {
+            name: name.into(),
+            words: 1,
+            role,
+        };
+        // t[0] += 1; o[0] = t[0]
+        let k = CKernel {
+            name: "k".into(),
+            params: vec![word("o", ParamRole::Output)],
+            locals: vec![word("t", ParamRole::Temp)],
+            body: vec![
+                CStmt::StoreAccum {
+                    target: at0("t"),
+                    expr: CExpr::Const(1.0),
+                },
+                CStmt::Store {
+                    target: at0("o"),
+                    expr: CExpr::Load(at0("t")),
+                },
+            ],
+        };
+        let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
+        mem.insert("o".into(), vec![0.0]);
+        mem.insert("t".into(), vec![41.0]);
+        run_kernel(&k, &mut mem).unwrap();
+        assert_eq!(mem["o"], vec![1.0]);
+        assert!(!mem.contains_key("t"));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! 3. [`exec`] executes it directly on flat arrays, which is how the
 //!    repository validates that generated code computes exactly what the
 //!    `teil` interpreter defines (and how the ARM "SW HLS code" variant
-//!    of Figure 10 is cost-modelled).
+//!    of Figure 10 is cost-modelled). Each call lowers the kernel into a
+//!    slot-indexed plan and runs that; the name-keyed tree walker it
+//!    replaced lives on only in `tests/oracle` as the differential
+//!    oracle.
 //!
 //! Reductions whose loops are innermost use a scalar accumulator
 //! (HLS-friendly: the recurrence stays in a register); other schedules

@@ -89,42 +89,63 @@ pub fn verify_elements(
 /// kernels receive the same tensor). Returns every kernel's outputs as
 /// `"kernel.tensor"` → values; a later kernel's input named like an
 /// earlier kernel's output receives that output (the PLM handoff).
+/// `names`, `modules` and `kernels` must have one entry per kernel.
 pub fn run_program_chain(
     names: &[String],
     modules: &[&Module],
     kernels: &[&cgen::CKernel],
     external: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Vec<f64>>, String> {
-    assert_eq!(modules.len(), kernels.len());
-    // Latest produced value per tensor name (the handoff buffers).
-    let mut produced: HashMap<String, Vec<f64>> = HashMap::new();
+    if names.len() != modules.len() || modules.len() != kernels.len() {
+        return Err(format!(
+            "program chain has {} names, {} modules and {} kernels",
+            names.len(),
+            modules.len(),
+            kernels.len()
+        ));
+    }
     let mut out: HashMap<String, Vec<f64>> = HashMap::new();
+    // Key in `out` of the latest produced value per tensor name. A
+    // handoff buffer moves from `out` into the consumer and back: the
+    // generated code never stores to an input.
+    let mut produced: HashMap<&str, String> = HashMap::new();
     for ((name, module), kernel) in names.iter().zip(modules).zip(kernels) {
         let mut mem: HashMap<String, Vec<f64>> = HashMap::new();
         for p in &kernel.params {
             mem.insert(p.name.clone(), vec![0.0; p.words]);
         }
+        let mut handed: Vec<(&str, &String)> = Vec::new();
         for id in module.of_kind(TensorKind::Input) {
             let n = module.name(id);
-            let data = if let Some(v) = produced.get(n) {
-                v.clone()
-            } else {
-                external
+            let handoff = produced
+                .get(n)
+                .and_then(|key| out.remove(key).map(|v| (key, v)));
+            let data = match handoff {
+                Some((key, v)) => {
+                    handed.push((n, key));
+                    v
+                }
+                None => external
                     .get(n)
                     .map(|t| t.data.clone())
-                    .ok_or_else(|| format!("missing external input '{n}' for kernel '{name}'"))?
+                    .ok_or_else(|| format!("missing external input '{n}' for kernel '{name}'"))?,
             };
             mem.insert(n.to_string(), data);
         }
         cgen::run_kernel(kernel, &mut mem)?;
+        for (n, key) in handed {
+            if let Some(v) = mem.remove(n) {
+                out.insert(key.clone(), v);
+            }
+        }
         for id in module.of_kind(TensorKind::Output) {
             let n = module.name(id);
             let v = mem
-                .get(n)
-                .ok_or_else(|| format!("output '{n}' missing in kernel '{name}'"))?
-                .clone();
-            out.insert(format!("{name}.{n}"), v.clone());
-            produced.insert(n.to_string(), v);
+                .remove(n)
+                .ok_or_else(|| format!("output '{n}' missing in kernel '{name}'"))?;
+            let key = format!("{name}.{n}");
+            out.insert(key.clone(), v);
+            produced.insert(n, key);
         }
     }
     Ok(out)
@@ -412,6 +433,39 @@ mod tests {
                 );
                 produced.insert(n.to_string(), v);
             }
+        }
+    }
+
+    #[test]
+    fn chain_rejects_mismatched_lengths() {
+        let (names, modules, kernels) = setup_program(3);
+        let mrefs: Vec<&Module> = modules.iter().collect();
+        let krefs: Vec<&cgen::CKernel> = kernels.iter().collect();
+        let external = random_program_inputs(&mrefs, 1);
+        assert!(run_program_chain(&names, &mrefs, &krefs, &external).is_ok());
+        let cases = [
+            (
+                &names[..2],
+                &mrefs[..],
+                &krefs[..],
+                "2 names, 3 modules and 3 kernels",
+            ),
+            (
+                &names[..],
+                &mrefs[..],
+                &krefs[..2],
+                "3 names, 3 modules and 2 kernels",
+            ),
+            (
+                &names[..],
+                &mrefs[..1],
+                &krefs[..],
+                "3 names, 1 modules and 3 kernels",
+            ),
+        ];
+        for (n, m, k, expected) in cases {
+            let err = run_program_chain(n, m, k, &external).unwrap_err();
+            assert_eq!(err, format!("program chain has {expected}"));
         }
     }
 
