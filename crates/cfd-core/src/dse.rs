@@ -38,14 +38,16 @@
 //! assert_eq!(engine.pipeline().counters().middle_end, 1);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use pschedule::CrossLiveness;
-use sysgen::{Platform, ProgramSystemConfig, SystemConfig};
+use sysgen::{MultiSystemDesign, Platform, ProgramSystemConfig, SystemConfig};
 use teil::TensorKind;
-use zynq::SimConfig;
+use zynq::{ProgramRound, SimConfig};
 
 use runtime::json;
 
@@ -80,6 +82,23 @@ impl DsePoint {
         )
     }
 
+    /// A key that orders points exactly like their [`DsePoint::label`]
+    /// strings, built without allocating. Past the common `k=` prefix,
+    /// the labels compare number by number: a number's digits first,
+    /// then the separator space (or the label's end), which sorts
+    /// below every digit, so `k=10` comes before `k=2` and `k=1`
+    /// before `k=10`. The booleans compare like their words
+    /// (`false < true`, as `"false" < "true"`).
+    fn label_key(&self) -> LabelKey {
+        LabelKey {
+            k: decimal_key(self.k as u64),
+            m: decimal_key(self.m as u64),
+            sharing: self.sharing,
+            decoupled: self.decoupled,
+            partition: decimal_key(u64::from(self.partition)),
+        }
+    }
+
     /// The backend-relevant subset of the point: grid axes that only
     /// differ in system-stage knobs (`k`, `m`) share one compiled
     /// backend (kernel, HLS estimate, memory subsystem).
@@ -92,6 +111,39 @@ impl DsePoint {
     }
 }
 
+/// [`DsePoint::label`] order as a plain value (see
+/// [`DsePoint::label_key`]); fields compare in label order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LabelKey {
+    k: u128,
+    m: u128,
+    sharing: bool,
+    decoupled: bool,
+    partition: u128,
+}
+
+/// The decimal digits of `v` as nibbles `digit + 1`, most significant
+/// digit in the top nibble, zero below the last digit. Two keys compare
+/// like the decimal strings: at the first differing digit, or, when one
+/// number's digits are a prefix of the other's, the shorter first (its
+/// zero nibble sorts below every `digit + 1`). A `u64` has at most 20
+/// digits, 80 of the 128 bits.
+fn decimal_key(mut v: u64) -> u128 {
+    let digits = v.checked_ilog10().map_or(1, |l| l + 1);
+    let mut key = 0;
+    for i in (0..digits).rev() {
+        key |= u128::from(v % 10 + 1) << (124 - 4 * i);
+        v /= 10;
+    }
+    key
+}
+
+/// `f64::total_cmp` order as an integer key (the same bit transform).
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Key identifying a unique backend compilation within a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BackendKey {
@@ -101,8 +153,10 @@ struct BackendKey {
 }
 
 /// The cartesian exploration grid. `m` is derived as `k · batch`, so
-/// every generated point satisfies the paper's power-of-two batching
-/// constraint by construction.
+/// with `k ≥ 1` and power-of-two batch factors every generated point
+/// satisfies the paper's batching constraint. Any other point (`k = 0`,
+/// a batch factor of 0 or 3) is still swept, and comes back as an
+/// infeasible row.
 #[derive(Debug, Clone)]
 pub struct DseGrid {
     pub k: Vec<usize>,
@@ -134,10 +188,6 @@ impl DseGrid {
         let mut out = Vec::new();
         for &k in &self.k {
             for &batch in &self.batch {
-                assert!(
-                    batch.is_power_of_two(),
-                    "batch factors must be powers of two"
-                );
                 for &sharing in &self.sharing {
                     for &decoupled in &self.decoupled {
                         for &partition in &self.partition {
@@ -183,6 +233,10 @@ pub struct DseOutcome {
     /// closed backlog of [`SERVICE_PROBE_REQUESTS`] requests, batch
     /// fill `m`, double-buffered DMA; 0 when infeasible) — the
     /// **throughput objective** of the service-level Pareto view.
+    /// Scored by [`runtime::closed_backlog_probe`], once per distinct
+    /// round signature of a sweep: designs with the same round tick
+    /// costs, `m` and DMA schedule share one probe run through a memo
+    /// that lives as long as the sweep.
     pub service_rps: f64,
     /// p99 request latency of the same probe (0 when infeasible).
     pub service_p99_s: f64,
@@ -191,30 +245,45 @@ pub struct DseOutcome {
 }
 
 /// Closed-backlog size of the serving probe every feasible design is
-/// scored with.
+/// scored with ([`runtime::closed_backlog_probe`], memoized per sweep
+/// on the design's round signature).
 pub const SERVICE_PROBE_REQUESTS: usize = 64;
+
+/// Everything the serving probe's round loop reads from a design: the
+/// round's tick costs, the fill capacity `m`, and whether the
+/// double-buffered schedule runs (every `m ≥ 2·k_i`).
+type ProbeKey = (ProgramRound, usize, bool);
+
+/// The serving probe's results by [`ProbeKey`], for one sweep: created
+/// by [`DseEngine::sweep`], shared by its workers and dropped when it
+/// returns, so every sweep scores its own designs. The probe is a pure
+/// function of the key, so which worker fills an entry first does not
+/// matter.
+#[derive(Default)]
+struct ProbeMemo(Mutex<HashMap<ProbeKey, (f64, f64)>>);
 
 /// Score a design's serving behavior: requests/sec and p99 latency of a
 /// closed backlog of [`SERVICE_PROBE_REQUESTS`] requests under the
-/// `Auto` batch policy (fill `m`) with double-buffered DMA. This is a
-/// timing-only `runtime::serve` run, so the numbers are by construction
-/// the ones `cfdc serve` would report for the same design.
-fn service_probe(design: &sysgen::MultiSystemDesign) -> (f64, f64) {
-    let opts = runtime::RuntimeOptions {
-        requests: SERVICE_PROBE_REQUESTS,
-        arrival: runtime::Arrival::Closed,
-        batch: runtime::BatchPolicy::Auto,
-        overlap_dma: true,
-        seed: 0,
-        execute: false,
-        ..runtime::RuntimeOptions::default()
-    };
-    let requests = runtime::generate_timing_requests(opts.requests, &opts.arrival, opts.seed)
-        .expect("closed arrivals never fail");
-    let report = runtime::serve(design, &[], &[], &[], &requests, &opts)
-        .expect("timing-only probe always serves")
-        .report;
-    (report.throughput_rps, report.latency_p99_s)
+/// `Auto` batch policy (fill `m`) with double-buffered DMA, through
+/// [`runtime::closed_backlog_probe`] — by construction the figures a
+/// timing-only `cfdc serve` of that backlog reports. Designs that share
+/// a round signature share one probe run through `memo`.
+fn service_probe(design: &MultiSystemDesign, memo: &ProbeMemo) -> (f64, f64) {
+    let cfg = &design.config;
+    let key = (
+        zynq::program_round(design, &SimConfig::default()),
+        cfg.m,
+        cfg.ks.iter().all(|&k| cfg.m >= 2 * k),
+    );
+    // A poisoned lock still holds complete entries: nothing panics
+    // while holding it.
+    let lock = || memo.0.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&scored) = lock().get(&key) {
+        return scored;
+    }
+    let scored = runtime::closed_backlog_probe(design, SERVICE_PROBE_REQUESTS);
+    lock().insert(key, scored);
+    scored
 }
 
 /// Ranked sweep results plus the evidence that the shared stages ran
@@ -532,13 +601,16 @@ impl DseEngine {
     }
 
     /// System stage, chained simulation and serving probe for one point
-    /// against its program build.
+    /// against its program build. A point whose configuration breaks the
+    /// `m = 2^j · k` relation (`k = 0`, a batch factor that is not a
+    /// power of two) is infeasible, like a design that does not fit.
     fn cost(
         &self,
         build: &ProgramBuild,
         platform: &Platform,
         point: &DsePoint,
         elements: usize,
+        memo: &ProbeMemo,
         started: Instant,
     ) -> DseOutcome {
         self.pipeline.count_system();
@@ -559,7 +631,8 @@ impl DseEngine {
             service_p99_s: 0.0,
             eval_s: 0.0,
         };
-        if let Some(design) = build.design_for(platform, cfg) {
+        let design = cfg.valid().then(|| build.design_for(platform, cfg));
+        if let Some(design) = design.flatten() {
             let sim = zynq::simulate_program(
                 &design,
                 &SimConfig {
@@ -567,7 +640,7 @@ impl DseEngine {
                     ..Default::default()
                 },
             );
-            (outcome.service_rps, outcome.service_p99_s) = service_probe(&design);
+            (outcome.service_rps, outcome.service_p99_s) = service_probe(&design, memo);
             outcome.feasible = true;
             outcome.luts = design.luts;
             outcome.ffs = design.ffs;
@@ -587,7 +660,8 @@ impl DseEngine {
     pub fn evaluate(&self, point: &DsePoint, elements: usize) -> DseOutcome {
         let t = Instant::now();
         let build = self.build(point, self.base.flow.hls.clock_mhz);
-        self.cost(&build, &self.base.flow.platform, point, elements, t)
+        let memo = ProbeMemo::default();
+        self.cost(&build, &self.base.flow.platform, point, elements, &memo, t)
     }
 
     /// The sweep behind [`DseEngine::run`] and
@@ -596,6 +670,8 @@ impl DseEngine {
     /// and their program build are compiled once per **(clock, backend
     /// key)** slot and shared by every platform and `k`/`m` that uses
     /// it; both phases fan out over `jobs` workers (0 = one per core).
+    /// The serving probe is memoized for the sweep's duration only
+    /// ([`ProbeMemo`]).
     fn sweep(
         &self,
         targets: &[(&Platform, f64)],
@@ -628,11 +704,13 @@ impl DseEngine {
             self.build(&rep, f64::from_bits(clock))
         });
         let backend_s = t.elapsed().as_secs_f64();
+        let memo = ProbeMemo::default();
         let outcomes = par_map(jobs, n, |i| {
             let started = Instant::now();
             let platform = targets[i / points.len()].0;
             let point = &points[i % points.len()];
-            self.cost(&builds[slot_of[i]], platform, point, elements, started)
+            let build = &builds[slot_of[i]];
+            self.cost(build, platform, point, elements, &memo, started)
         });
         let nk = self.names.len();
         Sweep {
@@ -664,13 +742,14 @@ impl DseEngine {
             elements,
         );
         let mut outcomes = sweep.outcomes;
-        outcomes.sort_by(|a, b| {
-            b.feasible
-                .cmp(&a.feasible)
-                .then(b.throughput_eps.total_cmp(&a.throughput_eps))
-                .then(a.brams.cmp(&b.brams))
-                .then(a.luts.cmp(&b.luts))
-                .then(a.point.label().cmp(&b.point.label()))
+        outcomes.sort_by_cached_key(|o| {
+            (
+                Reverse(o.feasible),
+                Reverse(total_key(o.throughput_eps)),
+                o.brams,
+                o.luts,
+                o.point.label_key(),
+            )
         });
         let feasible = outcomes.iter().filter(|o| o.feasible).count();
         let eval_total_s: f64 = outcomes.iter().map(|o| o.eval_s).sum();
@@ -754,6 +833,8 @@ fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec
                 })
             })
             .collect();
+        // `join` fails only when `f` already panicked in that worker;
+        // this re-raises that panic on the caller's thread.
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("DSE worker panicked"))
@@ -1131,15 +1212,18 @@ impl DseEngine {
                 outcomes[i].service_pareto = flag;
             }
         }
-        outcomes.sort_by(|a, b| {
-            b.outcome
-                .feasible
-                .cmp(&a.outcome.feasible)
-                .then(a.outcome.total_s.total_cmp(&b.outcome.total_s))
-                .then(a.utilization.total_cmp(&b.utilization))
-                .then(a.platform.cmp(&b.platform))
-                .then(a.clock_mhz.total_cmp(&b.clock_mhz))
-                .then(a.outcome.point.label().cmp(&b.outcome.point.label()))
+        // Platforms rank by id (string order), as a count of the ids
+        // below their own.
+        let platform_rank = |id: &str| platforms.iter().filter(|q| q.id.as_str() < id).count();
+        outcomes.sort_by_cached_key(|o| {
+            (
+                Reverse(o.outcome.feasible),
+                total_key(o.outcome.total_s),
+                total_key(o.utilization),
+                platform_rank(&o.platform),
+                total_key(o.clock_mhz),
+                o.outcome.point.label_key(),
+            )
         });
         let summaries: Vec<PlatformSummary> = platforms
             .iter()
@@ -1173,6 +1257,258 @@ impl DseEngine {
             oracle: polyhedra::OracleCounters::snapshot().since(oracle_base),
             summaries,
             outcomes,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64: a seeded stream for the generated cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        /// Mostly `lo..=hi`, sometimes a digit-count edge case.
+        fn number(&mut self, lo: u64, hi: u64, max: u64) -> u64 {
+            const EDGES: [u64; 8] = [0, 9, 10, 99, 100, 1_000_000, u32::MAX as u64, u64::MAX];
+            if self.below(16) == 0 {
+                EDGES[self.below(EDGES.len() as u64) as usize].min(max)
+            } else {
+                lo + self.below(hi - lo + 1)
+            }
+        }
+
+        fn point(&mut self) -> DsePoint {
+            DsePoint {
+                k: self.number(1, 128, usize::MAX as u64) as usize,
+                m: self.number(1, 128, usize::MAX as u64) as usize,
+                sharing: self.coin(),
+                decoupled: self.coin(),
+                partition: self.number(1, 16, u32::MAX as u64) as u32,
+            }
+        }
+
+        /// `a` with each field independently kept or redrawn, so pairs
+        /// reach every tie-break of the label.
+        fn near(&mut self, a: &DsePoint) -> DsePoint {
+            let b = self.point();
+            DsePoint {
+                k: if self.coin() { a.k } else { b.k },
+                m: if self.coin() { a.m } else { b.m },
+                sharing: if self.coin() { a.sharing } else { b.sharing },
+                decoupled: if self.coin() {
+                    a.decoupled
+                } else {
+                    b.decoupled
+                },
+                partition: if self.coin() {
+                    a.partition
+                } else {
+                    b.partition
+                },
+            }
+        }
+    }
+
+    fn point(k: usize, m: usize, partition: u32) -> DsePoint {
+        DsePoint {
+            k,
+            m,
+            sharing: true,
+            decoupled: false,
+            partition,
+        }
+    }
+
+    #[test]
+    fn label_key_orders_like_the_label() {
+        // The orders a numeric comparison would get wrong.
+        let by_label = |ps: &[DsePoint]| {
+            let mut ps = ps.to_vec();
+            ps.sort_by_key(DsePoint::label_key);
+            ps.iter().map(|p| (p.k, p.m)).collect::<Vec<_>>()
+        };
+        let ks = [point(2, 4, 1), point(10, 4, 1), point(1, 4, 1)];
+        assert_eq!(by_label(&ks), [(1, 4), (10, 4), (2, 4)]);
+        let ms = [point(1, 40, 1), point(1, 4, 1), point(1, 5, 1)];
+        assert_eq!(by_label(&ms), [(1, 4), (1, 40), (1, 5)]);
+
+        // Every (k, m) with k, m in 1..=128, the remaining fields drawn
+        // per point: sorted by key, the labels strictly increase.
+        let mut rng = Rng(0x5EED_0016);
+        let mut plane: Vec<DsePoint> = (1..=128)
+            .flat_map(|k| (1..=128).map(move |m| (k, m)))
+            .map(|(k, m)| DsePoint {
+                k,
+                m,
+                sharing: rng.coin(),
+                decoupled: rng.coin(),
+                partition: 1 + rng.below(16) as u32,
+            })
+            .collect();
+        plane.sort_by_key(DsePoint::label_key);
+        for w in plane.windows(2) {
+            assert!(w[0].label() < w[1].label(), "{:?} before {:?}", w[0], w[1]);
+        }
+
+        // Seeded pairs over both booleans, partitions in 1..=16 and
+        // digit-count edge cases up to the largest `usize` and `u32`.
+        for _ in 0..50_000 {
+            let a = rng.point();
+            let b = rng.near(&a);
+            assert_eq!(
+                a.label_key().cmp(&b.label_key()),
+                a.label().cmp(&b.label()),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1e-300,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    /// Every feasible design of a small portfolio scores the same bits
+    /// through the probe entry point, a timing-only `runtime::serve` of
+    /// the same backlog, and the sweep's memoized probe.
+    #[test]
+    fn probe_matches_serve_and_the_memoized_sweep() {
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+        let catalog = Platform::catalog();
+        let grid = DseGrid::default();
+        let serve_opts = runtime::RuntimeOptions {
+            requests: SERVICE_PROBE_REQUESTS,
+            arrival: runtime::Arrival::Closed,
+            batch: runtime::BatchPolicy::Auto,
+            overlap_dma: true,
+            seed: 0,
+            execute: false,
+            ..runtime::RuntimeOptions::default()
+        };
+        let requests =
+            runtime::generate_timing_requests(SERVICE_PROBE_REQUESTS, &runtime::Arrival::Closed, 0)
+                .unwrap();
+        for jobs in [1, 2] {
+            let report = engine.run_portfolio(&catalog, &grid, jobs, 1_000);
+            let mut builds: HashMap<(u64, bool, bool), ProgramBuild> = HashMap::new();
+            let mut checked = 0;
+            for o in &report.outcomes {
+                let platform = catalog.iter().find(|p| p.id == o.platform).unwrap();
+                let p = &o.outcome.point;
+                let build = builds
+                    .entry((o.clock_mhz.to_bits(), p.sharing, p.decoupled))
+                    .or_insert_with(|| engine.build(p, o.clock_mhz));
+                let cfg = ProgramSystemConfig::uniform(p.k, p.m, 1);
+                let Some(design) = build.design_for(platform, cfg) else {
+                    assert!(!o.outcome.feasible, "{} {}", o.platform, p.label());
+                    continue;
+                };
+                assert!(o.outcome.feasible, "{} {}", o.platform, p.label());
+                let served = runtime::serve(&design, &[], &[], &[], &requests, &serve_opts)
+                    .unwrap()
+                    .report;
+                let bits = |(rps, p99): (f64, f64)| (rps.to_bits(), p99.to_bits());
+                let want = bits((served.throughput_rps, served.latency_p99_s));
+                let probe = runtime::closed_backlog_probe(&design, SERVICE_PROBE_REQUESTS);
+                assert_eq!(bits(probe), want, "probe: {} {}", o.platform, p.label());
+                let swept = (o.outcome.service_rps, o.outcome.service_p99_s);
+                assert_eq!(bits(swept), want, "sweep: {} {}", o.platform, p.label());
+                checked += 1;
+            }
+            assert_eq!(checked, report.feasible);
+            assert!(checked > 0);
+        }
+    }
+
+    /// Grid points whose configuration breaks `m = 2^j · k` come back
+    /// as infeasible rows from both sweeps, at any worker count, and
+    /// leave the valid rows as a grid without them reports them.
+    #[test]
+    fn invalid_grid_points_are_infeasible_rows() {
+        let src = cfdlang::examples::inverse_helmholtz(4);
+        let engine = DseEngine::prepare(&src, &FlowOptions::default()).unwrap();
+        let catalog = Platform::catalog();
+        let grid = |k: Vec<usize>, batch: Vec<usize>| DseGrid {
+            k,
+            batch,
+            sharing: vec![true],
+            decoupled: vec![true],
+            partition: vec![1],
+        };
+        let mixed = grid(vec![0, 1, 2], vec![0, 1, 3]);
+        let valid = grid(vec![1, 2], vec![1]);
+        let is_valid = |p: &DsePoint| p.k >= 1 && p.m == p.k;
+        let row = |o: &DseOutcome| {
+            let bits = [o.total_s, o.service_rps, o.service_p99_s].map(f64::to_bits);
+            (o.point.label(), o.feasible, o.luts, o.brams, bits)
+        };
+        for jobs in [1, 2] {
+            let run = engine.run(&mixed, jobs, 1_000);
+            assert_eq!(run.evaluated, 9);
+            let (ok, bad): (Vec<_>, Vec<_>) = run.outcomes.iter().partition(|o| is_valid(&o.point));
+            assert!(bad.iter().all(|o| !o.feasible && o.service_rps == 0.0));
+            let want: Vec<_> = engine
+                .run(&valid, jobs, 1_000)
+                .outcomes
+                .iter()
+                .map(row)
+                .collect();
+            assert_eq!(ok.into_iter().map(row).collect::<Vec<_>>(), want);
+            assert!(want.iter().any(|r| r.1), "a valid point fits the zcu106");
+
+            let portfolio = engine.run_portfolio(&catalog, &mixed, jobs, 1_000);
+            let targets: usize = catalog.iter().map(|p| p.clock_ladder_mhz.len()).sum();
+            assert_eq!(portfolio.evaluated, 9 * targets);
+            let want = engine.run_portfolio(&catalog, &valid, jobs, 1_000);
+            let rows = |r: &PortfolioReport, keep: bool| {
+                r.outcomes
+                    .iter()
+                    .filter(|o| is_valid(&o.outcome.point) == keep)
+                    .map(|o| (o.platform.clone(), o.clock_mhz.to_bits(), row(&o.outcome)))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(rows(&portfolio, true), rows(&want, true));
+            assert!(rows(&portfolio, false).iter().all(|r| !r.2 .1));
+            assert_eq!(portfolio.feasible, want.feasible);
         }
     }
 }

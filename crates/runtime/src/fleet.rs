@@ -58,8 +58,8 @@ use zynq::des::{secs, to_secs, Time};
 use zynq::fault::FaultPlan;
 
 use crate::{
-    json, percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions, ServeOutcome,
-    ServiceReport,
+    json, per_s, percentile, serve, Request, RequestOutcome, RuntimeError, RuntimeOptions,
+    ServeOutcome, ServiceReport,
 };
 
 /// How the dispatcher picks a board for each admitted request.
@@ -531,13 +531,6 @@ pub fn serve_fleet(
         .max()
         .unwrap_or(0);
     let makespan_s = to_secs(makespan_ticks);
-    let per_s = |k: usize| {
-        if makespan_s > 0.0 {
-            k as f64 / makespan_s
-        } else {
-            0.0
-        }
-    };
 
     let board_reports: Vec<BoardReport> = (0..nb)
         .map(|b| {
@@ -559,7 +552,7 @@ pub fn serve_fleet(
                     0.0
                 },
                 rps_per_kluts: if kluts > 0.0 {
-                    per_s(board_completed) / kluts
+                    per_s(board_completed, makespan_s) / kluts
                 } else {
                     0.0
                 },
@@ -584,8 +577,8 @@ pub fn serve_fleet(
         requeued,
         makespan_ticks,
         makespan_s,
-        aggregate_rps: per_s(n),
-        goodput_rps: (completed > 0).then(|| per_s(completed)),
+        aggregate_rps: per_s(n, makespan_s),
+        goodput_rps: (completed > 0).then(|| per_s(completed, makespan_s)),
         latency_mean_s: to_secs(latency_ticks.iter().sum::<u64>() / n as u64),
         latency_p50_s: to_secs(percentile(&latency_ticks, 0.50)),
         latency_p99_s: to_secs(percentile(&latency_ticks, 0.99)),

@@ -596,6 +596,57 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// `count` requests over a makespan of `makespan_s` seconds, as a rate
+/// (0 for an empty makespan) — the one definition every requests/sec
+/// figure (service and fleet reports, DSE probes) shares.
+pub fn per_s(count: usize, makespan_s: f64) -> f64 {
+    if makespan_s > 0.0 {
+        count as f64 / makespan_s
+    } else {
+        0.0
+    }
+}
+
+/// Every request's resolution latency in ticks (`resolved - arrival`,
+/// both in arrival order), sorted ascending for [`percentile`].
+fn sorted_latency_ticks(resolved: &[Time], arrivals: &[Time]) -> Vec<u64> {
+    let mut ticks: Vec<u64> = resolved
+        .iter()
+        .zip(arrivals)
+        .map(|(c, a)| c.saturating_sub(*a))
+        .collect();
+    ticks.sort_unstable();
+    ticks
+}
+
+/// Requests/sec and p99 latency (seconds) of a closed backlog of
+/// `requests` requests, all arriving at tick 0, served on `design` with
+/// [`BatchPolicy::Auto`] capacity, double-buffered DMA, no faults and
+/// the FIFO policy: the `throughput_rps` and `latency_p99_s` a
+/// timing-only [`serve`] of that backlog reports, bit for bit (both go
+/// through [`per_s`], [`percentile`] and `to_secs`), without building
+/// requests, traces or a report. The DSE scores every feasible design
+/// with it.
+pub fn closed_backlog_probe(design: &MultiSystemDesign, requests: usize) -> (f64, f64) {
+    let arrivals: Vec<Time> = vec![0; requests];
+    let oo = zynq::simulate_online_stream(
+        design,
+        &SimConfig::default(),
+        &arrivals,
+        BatchPolicy::Auto.capacity(design.config.m),
+        true,
+        &FaultPlan::none(),
+        &RecoveryPolicy::default().to_spec(),
+        &zynq::OnlineSpec::fifo(),
+    );
+    let fso = &oo.fault;
+    let latency_ticks = sorted_latency_ticks(&fso.resolved_ticks, &arrivals);
+    (
+        per_s(requests, to_secs(fso.stream.makespan_ticks)),
+        to_secs(percentile(&latency_ticks, 0.99)),
+    )
+}
+
 /// Serve `requests` on `design`: schedule the batched stream (under the
 /// fault plan and recovery policy in `opts`), compute the service
 /// statistics and (when `opts.execute`) run every completed request
@@ -685,13 +736,7 @@ pub fn serve(
         .collect();
     traces.sort_by_key(|t| t.id);
 
-    let mut latency_ticks: Vec<u64> = fso
-        .resolved_ticks
-        .iter()
-        .zip(&arrivals)
-        .map(|(c, a)| c.saturating_sub(*a))
-        .collect();
-    latency_ticks.sort_unstable();
+    let latency_ticks = sorted_latency_ticks(&fso.resolved_ticks, &arrivals);
     let mut completed_latency_ticks: Vec<u64> = fso
         .resolved_ticks
         .iter()
@@ -705,13 +750,6 @@ pub fn serve(
     let completed = count(StreamStatus::Completed);
     let n = requests.len();
     let makespan_s = to_secs(stream.makespan_ticks);
-    let per_s = |k: usize| {
-        if makespan_s > 0.0 {
-            k as f64 / makespan_s
-        } else {
-            0.0
-        }
-    };
     let report = ServiceReport {
         requests: n,
         policy: opts.batch,
@@ -726,7 +764,7 @@ pub fn serve(
         overlapped_ticks: stream.overlapped_ticks,
         makespan_ticks: stream.makespan_ticks,
         makespan_s,
-        throughput_rps: per_s(n),
+        throughput_rps: per_s(n, makespan_s),
         latency_mean_s: to_secs(latency_ticks.iter().sum::<u64>() / n as u64),
         latency_p50_s: to_secs(percentile(&latency_ticks, 0.50)),
         latency_p99_s: to_secs(percentile(&latency_ticks, 0.99)),
@@ -742,8 +780,8 @@ pub fn serve(
         transient_faults: fso.transient_faults,
         dma_stalls: fso.dma_stalls,
         corrupt_payloads: fso.corrupt_payloads,
-        offered_rps: per_s(n),
-        goodput_rps: (completed > 0).then(|| per_s(completed)),
+        offered_rps: per_s(n, makespan_s),
+        goodput_rps: (completed > 0).then(|| per_s(completed, makespan_s)),
         fault_plan: opts.faults.label(),
         recovery: opts.recovery,
         online: opts.online.enabled(),

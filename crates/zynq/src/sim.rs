@@ -158,7 +158,7 @@ impl ProgramHwResult {
 /// ([`crate::stream`]) both derive their schedules from this one
 /// function, so a runtime round is tick-identical to a `simulate_program`
 /// round by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProgramRound {
     /// External-input DMA ticks (`m` elements, one burst per PLM set).
     pub t_in: u64,
